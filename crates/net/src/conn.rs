@@ -32,8 +32,10 @@ use crate::http::{Limits, RequestParser};
 pub(crate) enum Phase {
     /// No request in flight; the parser may produce the next one.
     Idle,
-    /// A classify request is queued on the scorer pool; the loop polls
-    /// the handle each tick. `keep_alive` is the parsed request's.
+    /// A classify request is queued on the scorer pool (a cache hit never
+    /// gets here: it is answered as it is submitted). The scorer fires
+    /// the loop's waker when the verdict is ready, and the loop polls the
+    /// handle on every pass. `keep_alive` is the parsed request's.
     Scoring {
         /// The pollable verdict handle.
         pending: PendingVerdict,
@@ -74,8 +76,11 @@ pub(crate) struct Conn {
     pub(crate) writable: bool,
     /// Reads deferred while the scorer queue is saturated.
     pub(crate) paused: bool,
-    /// Close once `out` is flushed.
+    /// Close once `out` is flushed; serve nothing more.
     pub(crate) closing: bool,
+    /// The peer sent EOF: nothing more to read, but complete requests
+    /// buffered before it are still served.
+    pub(crate) eof: bool,
     pub(crate) phase: Phase,
     /// When the socket was accepted — the first traced request records
     /// the accept→parse gap as a retroactive `edge/accept` span.
@@ -112,6 +117,7 @@ impl Conn {
             writable: true,
             paused: false,
             closing: false,
+            eof: false,
             phase: Phase::Idle,
             accepted_at: Instant::now(),
             accept_traced: false,
@@ -151,6 +157,12 @@ impl Conn {
     /// A response (or several) is waiting to be flushed.
     pub(crate) fn has_pending_output(&self) -> bool {
         self.out_pos < self.out.len()
+    }
+
+    /// The connection may start its next request: nothing in flight, not
+    /// read-paused, not closing.
+    pub(crate) fn can_serve(&self) -> bool {
+        !self.closing && !self.paused && matches!(self.phase, Phase::Idle)
     }
 
     /// A request is being scored right now.

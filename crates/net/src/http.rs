@@ -138,6 +138,35 @@ impl RequestParser {
     /// buffered. `Ok(None)` means "need more bytes". Errors are fatal to
     /// the connection — the buffer position is unspecified afterwards.
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
+        let Some(frame) = self.frame()? else {
+            return Ok(None);
+        };
+        let data = &self.buf[self.start..];
+        let request = Request {
+            method: frame.method,
+            path: frame
+                .target
+                .split('?')
+                .next()
+                .unwrap_or(frame.target)
+                .to_owned(),
+            keep_alive: frame.keep_alive,
+            body: data[frame.head_len..frame.len].to_vec(),
+        };
+        self.start += frame.len;
+        self.compact();
+        Ok(Some(request))
+    }
+
+    /// Whether [`next_request`](Self::next_request) has something to
+    /// hand out — a complete request or a framing error — rather than
+    /// `Ok(None)`. Consumes nothing.
+    pub(crate) fn has_request(&self) -> bool {
+        !matches!(self.frame(), Ok(None))
+    }
+
+    /// Frames the next buffered request without consuming it.
+    fn frame(&self) -> Result<Option<Frame<'_>>, HttpError> {
         let data = &self.buf[self.start..];
         let Some(head_len) = find_head_end(data) else {
             if data.len() > self.limits.max_head_bytes {
@@ -195,18 +224,25 @@ impl RequestParser {
         if data.len() < head_len + content_length {
             return Ok(None); // head complete, body still arriving
         }
-
-        let path = target.split('?').next().unwrap_or(target).to_owned();
-        let body = data[head_len..head_len + content_length].to_vec();
-        self.start += head_len + content_length;
-        self.compact();
-        Ok(Some(Request {
+        Ok(Some(Frame {
             method,
-            path,
+            target,
             keep_alive,
-            body,
+            head_len,
+            len: head_len + content_length,
         }))
     }
+}
+
+/// A fully buffered request, located but not yet consumed.
+struct Frame<'a> {
+    method: Method,
+    target: &'a str,
+    keep_alive: bool,
+    /// Head bytes, up to and including the blank line.
+    head_len: usize,
+    /// Head plus body bytes.
+    len: usize,
 }
 
 /// Index just past `\r\n\r\n`, if present.
@@ -302,6 +338,7 @@ mod tests {
         let mut p = parser();
         for (i, byte) in raw.iter().enumerate() {
             p.push(std::slice::from_ref(byte));
+            assert_eq!(p.has_request(), i + 1 == raw.len(), "framed at byte {i}");
             let parsed = p.next_request().unwrap();
             if i + 1 < raw.len() {
                 assert!(parsed.is_none(), "complete only at the last byte");
@@ -322,12 +359,14 @@ mod tests {
         p.push(
             b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics?x=1 HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
+        assert!(p.has_request());
         let first = p.next_request().unwrap().unwrap();
         assert_eq!(first.path, "/healthz");
         assert!(first.keep_alive);
         let second = p.next_request().unwrap().unwrap();
         assert_eq!(second.path, "/metrics", "query string stripped");
         assert!(!second.keep_alive);
+        assert!(!p.has_request());
         assert!(p.next_request().unwrap().is_none());
         assert_eq!(p.buffered(), 0);
     }

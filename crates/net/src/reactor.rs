@@ -39,7 +39,8 @@ pub struct Readiness {
 /// Wakes a [`Reactor`] blocked in [`Reactor::poll`] from another thread.
 ///
 /// Cloneable and cheap; used by `Server::drain`/`resume`/shutdown to nudge
-/// the event loop into observing a state change.
+/// the event loop into observing a state change, and by scorer threads to
+/// announce a completed verdict.
 #[derive(Clone)]
 pub struct Waker {
     wake: Arc<EventFd>,
@@ -104,6 +105,8 @@ impl Reactor {
 
     /// Waits for readiness (or a wake, or `timeout`), appending
     /// transitions to `out`. Returns `true` when a [`Waker`] fired.
+    /// `Some(Duration::ZERO)` only collects what is already pending and
+    /// never blocks.
     pub fn poll(
         &mut self,
         timeout: Option<Duration>,
@@ -111,6 +114,7 @@ impl Reactor {
     ) -> io::Result<bool> {
         let timeout_ms = match timeout {
             None => -1,
+            Some(t) if t.is_zero() => 0,
             // round up so a 100µs timeout still sleeps rather than spins
             Some(t) => i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX),
         };
@@ -156,6 +160,28 @@ mod tests {
         assert!(woken, "the waker must interrupt a long poll");
         assert!(out.is_empty());
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn zero_timeout_poll_does_not_block() {
+        let mut reactor = Reactor::new(8).unwrap();
+        let mut out = Vec::new();
+        // nothing is pending, so any wait at all would be the timeout's;
+        // a 1 ms round-up would show as >= 1 ms on every one of these
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            assert!(!reactor.poll(Some(Duration::ZERO), &mut out).unwrap());
+        }
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "50 zero-timeout polls took {:?}",
+            started.elapsed()
+        );
+        assert!(out.is_empty());
+
+        // a wake already pending is still collected
+        reactor.waker().wake();
+        assert!(reactor.poll(Some(Duration::ZERO), &mut out).unwrap());
     }
 
     #[test]

@@ -31,7 +31,18 @@
 //! 3. **Pipelining guard** — at most
 //!    [`NetConfig::max_requests_per_wake`] buffered requests are served
 //!    per connection per wake-up, so one pipelining client cannot starve
-//!    the rest of the loop.
+//!    the rest of the loop. Complete requests the guard leaves buffered
+//!    get no fd edge of their own, so the loop's next poll does not
+//!    block and they are served on the next pass.
+//!
+//! ## Waking on verdicts
+//!
+//! A classify whose verdict is cached is answered while its request is
+//! being served, in the same pass. A miss queues on the scorer pool with
+//! the loop's [`Waker`] as its completion hook: the scorer fills the
+//! verdict, then wakes the loop, which is blocked in `epoll_wait` with no
+//! timeout. The only timed poll is the 1 ms tick that re-checks the
+//! scorer queue while a connection is 429-paused.
 //!
 //! ## Drain protocol
 //!
@@ -61,7 +72,7 @@ use frappe_obs::{
 };
 use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
 use frappe_serve::{
-    ErrorEnvelope, PendingVerdict, ScoringBackend, ServeError, ServeEvent, Verdict,
+    ErrorEnvelope, Notify, PendingVerdict, ScoringBackend, ServeError, ServeEvent, Verdict,
 };
 use osn_types::ids::AppId;
 
@@ -338,6 +349,10 @@ impl Server {
 
         let queue_capacity = service.queue_capacity();
         let retry_after_ms = service.retry_after_ms();
+        let verdict_ready: Notify = {
+            let waker = waker.clone();
+            Arc::new(move || waker.wake())
+        };
         let event_loop = EventLoop {
             overload_response: accept_gate_response(retry_after_ms),
             limits: Limits {
@@ -355,6 +370,8 @@ impl Server {
             active: 0,
             accept_ready: true, // connections may predate registration
             paused_any: false,
+            backlog: false,
+            verdict_ready,
             metrics,
             trace,
             slo_1m,
@@ -438,7 +455,8 @@ enum Routed {
         response: Response,
         pause_reads: bool,
     },
-    /// A classify rode the scorer queue; poll the handle from the loop.
+    /// A classify was submitted: answered already on a cache hit,
+    /// otherwise queued, with the loop's waker riding along.
     Score(PendingVerdict),
 }
 
@@ -456,8 +474,14 @@ struct EventLoop {
     active: usize,
     /// Edge-trigger memo for the listener.
     accept_ready: bool,
-    /// Any connection read-paused (enables the resume check + busy tick).
+    /// Any connection read-paused (enables the resume check + its tick).
     paused_any: bool,
+    /// This pass's pipelining guard left a complete request buffered on
+    /// some connection: no fd edge will come for it, so don't sleep.
+    backlog: bool,
+    /// Wakes this loop when a queued verdict completes; cloned into every
+    /// classify the edge submits (in-process callers pass none).
+    verdict_ready: Notify,
     metrics: NetMetrics,
     overload_response: Vec<u8>,
     /// Request tracer (the service's collector, captured at bind).
@@ -481,15 +505,25 @@ impl EventLoop {
             if running {
                 self.accept_new();
             }
+            self.backlog = false;
             for idx in 0..self.conns.len() {
                 self.pump(idx, running);
             }
             self.publish_drained(command);
 
-            // In-flight verdicts and paused reads have no fd edge to wake
-            // us — tick; otherwise sleep until the kernel or a waker says.
-            let busy = self.paused_any || self.conns.iter().flatten().any(Conn::in_flight);
-            let timeout = busy.then(|| Duration::from_millis(1));
+            // Sleep until the kernel or a waker says: a queued verdict
+            // fires the waker when it completes. Two states have no such
+            // signal. Requests the pipelining guard left buffered get no
+            // fd edge, so poll without blocking and serve them next pass.
+            // A 429-paused connection resumes on scorer-queue depth, so
+            // tick to re-check it.
+            let timeout = if self.backlog {
+                Some(Duration::ZERO)
+            } else if self.paused_any {
+                Some(Duration::from_millis(1))
+            } else {
+                None
+            };
             events.clear();
             if self.reactor.poll(timeout, &mut events).is_err() {
                 continue;
@@ -590,7 +624,10 @@ impl EventLoop {
             return;
         };
         let gone = self.pump_conn(&mut conn, running);
-        let finished = conn.closing && conn.is_quiesced();
+        // a peer that sent EOF is retired once every complete request it
+        // sent before it has been answered
+        let finished =
+            conn.is_quiesced() && (conn.closing || (conn.eof && !conn.parser.has_request()));
         if gone || finished {
             // a vanished peer leaves responses unflushed; their traces
             // still finish (as `aborted`) so nothing dangles
@@ -627,12 +664,12 @@ impl EventLoop {
             }
         }
 
-        if running && !conn.closing && !conn.paused && matches!(conn.phase, Phase::Idle) {
-            if conn.readable {
+        if running && conn.can_serve() {
+            if conn.readable && !conn.eof {
                 match conn.fill() {
                     IoStep::Progress(n) => self.metrics.bytes_read.add(n as u64),
                     // EOF: serve what's buffered, flush, then retire
-                    IoStep::Gone => conn.closing = true,
+                    IoStep::Gone => conn.eof = true,
                 }
             }
             self.serve_buffered(conn);
@@ -656,59 +693,76 @@ impl EventLoop {
     }
 
     /// Parses and serves buffered requests, bounded by the pipelining
-    /// guard, stopping at an in-flight classify or a read pause.
+    /// guard, stopping at an in-flight classify or a read pause. When the
+    /// guard is what stopped it with a complete request still buffered,
+    /// flags [`backlog`](Self::backlog) so the loop comes straight back.
     fn serve_buffered(&mut self, conn: &mut Conn) {
         for _ in 0..self.config.max_requests_per_wake {
-            if conn.closing && conn.parser.buffered() == 0 {
-                break;
-            }
-            if !matches!(conn.phase, Phase::Idle) || conn.paused {
-                break;
-            }
-            match conn.parser.next_request() {
-                Ok(None) => break,
-                Ok(Some(request)) => {
-                    let started = Instant::now();
-                    self.metrics.requests.inc();
-                    let trace = self.begin_request_trace(conn, &request);
-                    match self.route(&request, trace.as_ref()) {
-                        Routed::Done {
-                            response,
-                            pause_reads,
-                        } => {
-                            self.enqueue(conn, response, request.keep_alive, Some(started), trace);
-                            if pause_reads {
-                                // ring 2: this client just got a 429 —
-                                // stop reading it until the queue recovers
-                                conn.paused = true;
-                                self.paused_any = true;
-                                self.metrics.read_stalls.inc();
-                            }
-                        }
-                        Routed::Score(pending) => {
-                            conn.phase = Phase::Scoring {
-                                pending,
-                                keep_alive: request.keep_alive,
-                                started,
-                                trace,
-                            };
-                        }
-                    }
-                }
-                Err(err) => {
-                    // framing is broken — answer and close
-                    self.metrics.requests.inc();
-                    let (status, _) = err.status();
-                    let body = format!(
-                        "{{\"error\":{}}}",
-                        serde_json::to_string(err.detail()).expect("strings serialize")
-                    );
-                    let response = Response::json(status, body.into_bytes());
-                    self.enqueue(conn, response, false, None, None);
-                    break;
-                }
+            if !self.serve_next(conn) {
+                return;
             }
         }
+        if conn.can_serve() && conn.parser.has_request() {
+            self.backlog = true;
+        }
+    }
+
+    /// Serves the next buffered request; `false` when there was none to
+    /// serve or the connection cannot take another yet.
+    fn serve_next(&mut self, conn: &mut Conn) -> bool {
+        if !conn.can_serve() {
+            return false;
+        }
+        let request = match conn.parser.next_request() {
+            Ok(Some(request)) => request,
+            Ok(None) => return false,
+            Err(err) => {
+                // framing is broken — answer and close
+                self.metrics.requests.inc();
+                let (status, _) = err.status();
+                let body = format!(
+                    "{{\"error\":{}}}",
+                    serde_json::to_string(err.detail()).expect("strings serialize")
+                );
+                let response = Response::json(status, body.into_bytes());
+                self.enqueue(conn, response, false, None, None);
+                return false;
+            }
+        };
+        let started = Instant::now();
+        self.metrics.requests.inc();
+        let trace = self.begin_request_trace(conn, &request);
+        match self.route(&request, trace.as_ref()) {
+            Routed::Done {
+                response,
+                pause_reads,
+            } => {
+                self.enqueue(conn, response, request.keep_alive, Some(started), trace);
+                if pause_reads {
+                    // ring 2: this client just got a 429 — stop reading
+                    // it until the queue recovers
+                    conn.paused = true;
+                    self.paused_any = true;
+                    self.metrics.read_stalls.inc();
+                }
+            }
+            // a cache hit comes back answered: respond in this same pass
+            Routed::Score(mut pending) => match pending.poll() {
+                Some(outcome) => {
+                    let response = self.verdict_response(outcome);
+                    self.enqueue(conn, response, request.keep_alive, Some(started), trace);
+                }
+                None => {
+                    conn.phase = Phase::Scoring {
+                        pending,
+                        keep_alive: request.keep_alive,
+                        started,
+                        trace,
+                    };
+                }
+            },
+        }
+        true
     }
 
     /// Mints the request's trace (when a collector is attached): a
@@ -780,7 +834,8 @@ impl EventLoop {
                     return done(Response::json(400, body.into_bytes()));
                 };
                 let edge_trace = trace.map(|(handle, root)| (handle.clone(), Some(*root)));
-                match self.service.classify_traced(app, edge_trace) {
+                let notify = Some(Arc::clone(&self.verdict_ready));
+                match self.service.classify_traced(app, edge_trace, notify) {
                     Ok(pending) => Routed::Score(pending),
                     Err(err) => {
                         let pause_reads = matches!(err, ServeError::Overloaded { .. });

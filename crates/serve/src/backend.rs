@@ -24,7 +24,7 @@ use osn_types::ids::AppId;
 use crate::event::ServeEvent;
 use crate::metrics::MetricsSnapshot;
 use crate::router::ShardRouter;
-use crate::service::{FrappeService, PendingVerdict, ServeError, Verdict};
+use crate::service::{FrappeService, Notify, PendingVerdict, ServeError, Verdict};
 
 /// One serving deployment, whatever its shape: a single
 /// [`FrappeService`] or a [`ShardRouter`] over K shard groups.
@@ -43,11 +43,14 @@ pub trait ScoringBackend: Send + Sync {
     fn classify(&self, app: AppId) -> Result<Verdict, ServeError>;
 
     /// Submits a classification without waiting, threading an optional
-    /// edge-minted trace through to the scorer's spans.
+    /// edge-minted trace through to the scorer's spans. A cache hit comes
+    /// back already answered; a queued request fires `notify` (if any)
+    /// once its verdict is readable.
     fn classify_traced(
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+        notify: Option<Notify>,
     ) -> Result<PendingVerdict, ServeError>;
 
     /// Current feature row for one app (the parity-test window).
@@ -122,8 +125,9 @@ impl ScoringBackend for FrappeService {
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+        notify: Option<Notify>,
     ) -> Result<PendingVerdict, ServeError> {
-        FrappeService::classify_traced(self, app, edge_trace)
+        FrappeService::classify_traced(self, app, edge_trace, notify)
     }
 
     fn features(&self, app: AppId) -> Option<AppFeatures> {
@@ -209,8 +213,9 @@ impl ScoringBackend for ShardRouter {
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+        notify: Option<Notify>,
     ) -> Result<PendingVerdict, ServeError> {
-        ShardRouter::classify_traced(self, app, edge_trace)
+        ShardRouter::classify_traced(self, app, edge_trace, notify)
     }
 
     fn features(&self, app: AppId) -> Option<AppFeatures> {

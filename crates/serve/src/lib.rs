@@ -12,11 +12,13 @@
 //!  platform tap ──► ServeEvent ──► FeatureStore (N shards, RwLock)
 //!  scenario replay ─┘                   │ snapshot
 //!                                       ▼
-//!  classify(app) ─► bounded queue ─► ScorerPool ─► VerdictCache
-//!                      │ full?            │            │ (generation-
-//!                      ▼                  ▼            │  stamped)
-//!                  Overloaded         Verdict ◄────────┘
-//!                  {retry_after}
+//!  classify(app) ─► VerdictCache probe ─── hit ──────────► Verdict
+//!                      │ miss  (generation-stamped)          ▲
+//!                      ▼                                     │
+//!                  bounded queue ─► ScorerPool ─► score + cache put
+//!                      │ full?
+//!                      ▼
+//!                  Overloaded {retry_after}
 //! ```
 //!
 //! The load-bearing invariant is **batch parity**: after ingesting a
@@ -76,5 +78,7 @@ pub use control::{ControlPlane, ControlStamp};
 pub use event::ServeEvent;
 pub use metrics::{LatencySnapshot, MetricsSnapshot};
 pub use router::{ShardConfig, ShardRouter};
-pub use service::{ErrorEnvelope, FrappeService, PendingVerdict, ServeConfig, ServeError, Verdict};
+pub use service::{
+    ErrorEnvelope, FrappeService, Notify, PendingVerdict, ServeConfig, ServeError, Verdict,
+};
 pub use store::{FeatureSnapshot, FeatureStore};

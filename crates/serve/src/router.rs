@@ -59,7 +59,7 @@ use crate::control::{ControlPlane, ControlStamp};
 use crate::event::ServeEvent;
 use crate::group::ShardGroup;
 use crate::metrics::{LatencySnapshot, MetricsSnapshot};
-use crate::service::{FrappeService, PendingVerdict, ServeConfig, ServeError, Verdict};
+use crate::service::{FrappeService, Notify, PendingVerdict, ServeConfig, ServeError, Verdict};
 
 /// Counter families that every group bumps once per *shared* control
 /// mutation: summing them across groups would report one swap K times.
@@ -276,12 +276,12 @@ impl ShardRouter {
 
     /// Classifies one app, blocking until its owner group answers.
     pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_traced(app, None)?.wait()
+        self.classify_traced(app, None, None)?.wait()
     }
 
     /// Submits a classification to the owner group without waiting.
     pub fn classify_nonblocking(&self, app: AppId) -> Result<PendingVerdict, ServeError> {
-        self.classify_traced(app, None)
+        self.classify_traced(app, None, None)
     }
 
     /// [`classify_nonblocking`](Self::classify_nonblocking) with
@@ -299,6 +299,7 @@ impl ShardRouter {
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+        notify: Option<Notify>,
     ) -> Result<PendingVerdict, ServeError> {
         let g = self.group_of(app);
         let (handle, root, owned) = match edge_trace {
@@ -319,9 +320,11 @@ impl ShardRouter {
         let group_span = handle
             .as_ref()
             .map(|h| h.start_span("route/group_score", root));
-        let submitted = self.groups[g]
-            .service()
-            .classify_traced(app, handle.clone().map(|h| (h, group_span)));
+        let submitted = self.groups[g].service().classify_traced(
+            app,
+            handle.clone().map(|h| (h, group_span)),
+            notify,
+        );
         if let (Some(h), Some(span)) = (&handle, forward) {
             h.end_span(span);
         }

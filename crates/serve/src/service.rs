@@ -8,8 +8,10 @@
 //! * **Ingest** is wait-free apart from one shard write lock; it never
 //!   touches the cache (invalidation is by generation stamp, see
 //!   [`crate::cache`]).
-//! * **Classify** goes through the bounded scoring queue. When the queue
-//!   is full the call is *rejected immediately* with
+//! * **Classify** of an app whose verdict is cached is answered on the
+//!   caller's thread (one cache probe, no pool hop). Everything else goes
+//!   through the bounded scoring queue. When the queue is full the call
+//!   is *rejected immediately* with
 //!   [`ServeError::Overloaded`] carrying a retry-after hint — the paper's
 //!   "FRAppE as a service" must degrade by shedding queries, not by
 //!   stalling the event stream.
@@ -21,7 +23,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{Receiver, TryRecvError};
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
 use frappe_obs::{AuditLog, AuditSource, Registry, SpanId, TraceCollector, TraceFlag, TraceHandle};
@@ -34,7 +35,7 @@ use crate::cache::{CacheLookup, VerdictCache};
 use crate::control::ControlPlane;
 use crate::event::ServeEvent;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pool::ScorerPool;
+use crate::pool::{ScorerPool, Slot};
 use crate::store::{FeatureSnapshot, FeatureStore};
 
 /// Tuning knobs for one service instance.
@@ -161,6 +162,14 @@ pub(crate) struct TraceCtx {
     pub(crate) submitted_us: u64,
 }
 
+/// A completion hook handed in with one classify: fired exactly once,
+/// after the queued verdict becomes readable (or the request is dropped
+/// unscored). The network edge passes its reactor waker this way — one
+/// shared handle cloned per request, so the hook costs a refcount, not an
+/// allocation. Cache hits settle before `classify_traced` returns, and a
+/// rejected submit returns its error; neither fires it.
+pub type Notify = Arc<dyn Fn() + Send + Sync>;
+
 /// Everything a scorer worker needs, shared once behind an `Arc`.
 pub(crate) struct ScoreEngine {
     model: SharedModel,
@@ -174,6 +183,30 @@ pub(crate) struct ScoreEngine {
 }
 
 impl ScoreEngine {
+    /// Answers from the verdict cache on the caller's thread, or `None`
+    /// when the request must queue (a miss, or an app the store has never
+    /// seen). A hit records the same trace shape a worker would: a
+    /// zero-length `serve/queue` at the submit stamp, then `serve/score`
+    /// carrying the `cache_hit` event.
+    pub(crate) fn cached(&self, app: AppId, trace: Option<&TraceCtx>) -> Option<Verdict> {
+        let _span = frappe_obs::span("serve/score");
+        let Ok(CacheLookup::Hit(hit)) = self.probe(app, trace) else {
+            return None;
+        };
+        if let Some(ctx) = trace {
+            let now = ctx.handle.now_micros();
+            ctx.handle.span_at(
+                "serve/queue",
+                ctx.parent,
+                ctx.submitted_us,
+                ctx.submitted_us,
+            );
+            ctx.handle
+                .span_at("serve/score", ctx.parent, ctx.submitted_us, now);
+        }
+        Some(hit)
+    }
+
     /// Cache-or-score one app, recording serve-side spans into the
     /// request's trace when one rides along. Runs on a pool worker.
     pub(crate) fn score_traced(
@@ -198,6 +231,29 @@ impl ScoreEngine {
         outcome
     }
 
+    /// The cache probe both classify paths run: store generation,
+    /// known-names generation, model epoch, then the stamped lookup — no
+    /// feature build. A hit is booked (metric + `cache_hit` trace event)
+    /// here; a miss is left for the scorer to book, so a request that
+    /// misses on submit and queues is counted once.
+    fn probe(&self, app: AppId, trace: Option<&TraceCtx>) -> Result<CacheLookup, ServeError> {
+        let app_gen = self
+            .store
+            .generation_of(app)
+            .ok_or(ServeError::UnknownApp(app))?;
+        let known_gen = self.known.generation();
+        let model_epoch = self.model.epoch();
+        let lookup = self.cache.lookup(app, app_gen, known_gen, model_epoch);
+        if matches!(lookup, CacheLookup::Hit(_)) {
+            self.metrics.cache_hit();
+            if let Some(ctx) = trace {
+                ctx.handle
+                    .event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
+            }
+        }
+        Ok(lookup)
+    }
+
     fn score_inner(
         &self,
         app: AppId,
@@ -205,22 +261,8 @@ impl ScoreEngine {
         score_span: Option<SpanId>,
     ) -> Result<Verdict, ServeError> {
         let _span = frappe_obs::span("serve/score");
-        // fast path: generation probe + cache lookup, no feature build
-        let app_gen = self
-            .store
-            .generation_of(app)
-            .ok_or(ServeError::UnknownApp(app))?;
-        let known_gen = self.known.generation();
-        let model_epoch = self.model.epoch();
-        match self.cache.lookup(app, app_gen, known_gen, model_epoch) {
-            CacheLookup::Hit(hit) => {
-                self.metrics.cache_hit();
-                if let Some(ctx) = trace {
-                    ctx.handle
-                        .event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
-                }
-                return Ok(hit);
-            }
+        match self.probe(app, trace)? {
+            CacheLookup::Hit(hit) => return Ok(hit),
             CacheLookup::MissCold => {
                 self.metrics.cache_miss();
                 if let Some(ctx) = trace {
@@ -307,19 +349,28 @@ impl ScoreEngine {
     }
 }
 
-/// A classification submitted to the scorer pool but not yet answered.
+/// A submitted classification, answered or not.
 ///
 /// The handle is how a non-blocking caller (the network edge's event
 /// loop) rides the pool: [`poll`](Self::poll) checks for the verdict
-/// without blocking, [`wait`](Self::wait) parks until it arrives. Either
-/// way the query-latency histogram is fed exactly once, measured from
-/// submission. Dropping the handle abandons the query (the worker's
-/// reply goes nowhere, which is fine).
+/// without blocking, [`wait`](Self::wait) parks until it arrives. A cache
+/// hit comes back already answered, so its first `poll` returns the
+/// verdict. Either way the query-latency histogram is fed exactly once,
+/// measured from submission. Dropping the handle abandons the query (the
+/// worker's answer goes nowhere, which is fine).
 pub struct PendingVerdict {
-    reply: Receiver<Result<Verdict, ServeError>>,
+    reply: Reply,
     engine: Arc<ScoreEngine>,
     start: Instant,
     trace: Option<PendingTrace>,
+}
+
+/// Where a [`PendingVerdict`]'s outcome is.
+enum Reply {
+    /// Answered on submit (a cache hit); `None` once handed out.
+    Settled(Option<Result<Verdict, ServeError>>),
+    /// Queued on the scorer pool; the worker fills the slot.
+    Queued(Arc<Slot>),
 }
 
 /// The trace attached to a pending classification, if any.
@@ -375,25 +426,44 @@ impl PendingVerdict {
         }
     }
 
-    /// The verdict, if a scorer has answered; `None` while it is still in
-    /// the queue or being scored. A pool that shut down mid-flight
-    /// surfaces [`ServeError::ShuttingDown`].
-    pub fn poll(&mut self) -> Option<Result<Verdict, ServeError>> {
-        match self.reply.try_recv() {
-            Ok(outcome) => {
-                self.settle(&outcome);
-                Some(outcome)
+    /// Takes the outcome once there is one (parking for it when
+    /// `block`), settling metrics and trace on the way out. A handle
+    /// whose outcome was already taken reports
+    /// [`ServeError::ShuttingDown`].
+    fn take(&mut self, block: bool) -> Option<Result<Verdict, ServeError>> {
+        let outcome = match std::mem::replace(&mut self.reply, Reply::Settled(None)) {
+            Reply::Settled(Some(outcome)) => outcome,
+            Reply::Settled(None) => return Some(Err(ServeError::ShuttingDown)),
+            Reply::Queued(slot) => {
+                let taken = if block {
+                    Some(slot.wait())
+                } else {
+                    slot.try_take()
+                };
+                match taken {
+                    Some(outcome) => outcome,
+                    None => {
+                        self.reply = Reply::Queued(slot);
+                        return None;
+                    }
+                }
             }
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
+        };
+        self.settle(&outcome);
+        Some(outcome)
+    }
+
+    /// The verdict, if it is ready; `None` while it is still in the queue
+    /// or being scored. A pool that shut down mid-flight surfaces
+    /// [`ServeError::ShuttingDown`].
+    pub fn poll(&mut self) -> Option<Result<Verdict, ServeError>> {
+        self.take(false)
     }
 
     /// Blocks until the verdict arrives.
-    pub fn wait(self) -> Result<Verdict, ServeError> {
-        let outcome = self.reply.recv().map_err(|_| ServeError::ShuttingDown)?;
-        self.settle(&outcome);
-        outcome
+    pub fn wait(mut self) -> Result<Verdict, ServeError> {
+        self.take(true)
+            .expect("a blocking take always yields an outcome")
     }
 
     /// Replaces the trace bookkeeping with the router's view of this
@@ -577,7 +647,7 @@ impl FrappeService {
     /// [`ServeError::Overloaded`] with the retry hint, counted in the
     /// rejected metric.
     pub fn classify_nonblocking(&self, app: AppId) -> Result<PendingVerdict, ServeError> {
-        self.classify_traced(app, None)
+        self.classify_traced(app, None, None)
     }
 
     /// [`classify_nonblocking`](Self::classify_nonblocking) with explicit
@@ -589,6 +659,11 @@ impl FrappeService {
     /// mints a `classify` trace of its own and finishes it when the
     /// verdict settles.
     ///
+    /// A cached verdict is answered right here, on the caller's thread:
+    /// the returned handle is already settled and the pool is never
+    /// touched. Everything else queues, and `notify` (if any) fires once
+    /// the queued verdict is readable — see [`Notify`].
+    ///
     /// A query shed with [`ServeError::Overloaded`] always flags the
     /// trace [`Shed429`](frappe_obs::TraceFlag::Shed429), so shed
     /// requests are tail-sampled no matter what the head-sampling rate
@@ -597,6 +672,7 @@ impl FrappeService {
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+        notify: Option<Notify>,
     ) -> Result<PendingVerdict, ServeError> {
         let start = Instant::now();
         let trace = match edge_trace {
@@ -622,8 +698,16 @@ impl FrappeService {
             parent: t.root,
             submitted_us: t.handle.now_micros(),
         });
-        let reply = match self.pool.submit(app, ctx) {
-            Ok(reply) => reply,
+        if let Some(hit) = self.engine.cached(app, ctx.as_ref()) {
+            return Ok(PendingVerdict {
+                reply: Reply::Settled(Some(Ok(hit))),
+                engine: Arc::clone(&self.engine),
+                start,
+                trace,
+            });
+        }
+        let slot = match self.pool.submit(app, ctx, notify) {
+            Ok(slot) => slot,
             Err(err) => {
                 if matches!(err, ServeError::Overloaded { .. }) {
                     self.engine.metrics.rejected();
@@ -647,7 +731,7 @@ impl FrappeService {
             }
         };
         Ok(PendingVerdict {
-            reply,
+            reply: Reply::Queued(slot),
             engine: Arc::clone(&self.engine),
             start,
             trace,
@@ -1101,6 +1185,123 @@ mod tests {
         );
         assert_eq!(svc.queue_depth(), 1);
         assert_eq!(svc.metrics().rejected, 1);
+    }
+
+    /// A notifier that reports each firing on a channel.
+    fn channel_notify() -> (Notify, std::sync::mpsc::Receiver<()>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let notify: Notify = Arc::new(move || tx.send(()).expect("the test is listening"));
+        (notify, rx)
+    }
+
+    #[test]
+    fn a_cached_classify_is_answered_on_submit_without_the_pool() {
+        let svc = service();
+        let app = AppId(101);
+        feed_malicious(&svc, app);
+        let fresh = svc.classify(app).unwrap();
+        let before = svc.metrics();
+        let (notify, fired) = channel_notify();
+        let mut pending = svc.classify_traced(app, None, Some(notify)).unwrap();
+        // settled before `classify_traced` returned: the first poll answers
+        assert_eq!(pending.poll(), Some(Ok(fresh)));
+        let after = svc.metrics();
+        assert_eq!(after.batches_scored, before.batches_scored, "no pool hop");
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(after.cache_misses, before.cache_misses);
+        assert_eq!(after.queries_served, before.queries_served + 1);
+        drop(svc); // joins the workers: nothing can fire after this
+        assert!(fired.try_recv().is_err(), "an inline hit never notifies");
+    }
+
+    #[test]
+    fn a_queued_miss_notifies_once_after_its_verdict_is_readable() {
+        let svc = service();
+        let [mine, other_a, other_b] = [AppId(111), AppId(112), AppId(113)];
+        for app in [mine, other_a, other_b] {
+            feed_malicious(&svc, app);
+        }
+        let (notify, fired) = channel_notify();
+        let mut pending = svc.classify_traced(mine, None, Some(notify)).unwrap();
+        // in-process misses on the same pool carry no notifier of their
+        // own and must not fire this request's
+        svc.classify(other_a).unwrap();
+        svc.classify(other_b).unwrap();
+        fired.recv().expect("the miss notifies");
+        let verdict = pending
+            .poll()
+            .expect("the verdict is readable once the notifier has fired");
+        assert_eq!(verdict.unwrap().app, mine);
+        drop(svc);
+        assert!(fired.try_recv().is_err(), "exactly one notification");
+    }
+
+    #[test]
+    fn a_service_dropped_with_a_request_queued_resolves_it_to_shutting_down() {
+        let svc = FrappeService::new(
+            tiny_model(),
+            KnownMaliciousNames::default(),
+            Shortener::bitly(),
+            ServeConfig {
+                shards: 1,
+                workers: 0, // stalled: the request stays queued
+                queue_capacity: 1,
+                batch_size: 1,
+                retry_after_ms: 9,
+            },
+        );
+        let app = AppId(121);
+        svc.ingest(&ServeEvent::Registered {
+            app,
+            name: "stuck".into(),
+        });
+        let (notify, fired) = channel_notify();
+        let pending = svc.classify_traced(app, None, Some(notify)).unwrap();
+        drop(svc);
+        assert_eq!(pending.wait(), Err(ServeError::ShuttingDown));
+        assert!(
+            fired.try_recv().is_ok(),
+            "the abandoned slot still notifies"
+        );
+        assert!(fired.try_recv().is_err(), "exactly once");
+    }
+
+    #[test]
+    fn an_inline_hit_keeps_the_queued_trace_shape() {
+        let svc = service();
+        let tc = TraceCollector::new(TraceConfig {
+            head_every: 1,
+            slow_us: 0,
+            ..TraceConfig::default()
+        });
+        svc.set_trace_collector(tc.clone());
+        let app = AppId(131);
+        feed_malicious(&svc, app);
+        svc.classify(app).unwrap();
+        svc.classify(app).unwrap();
+        let kept = tc.snapshot();
+        assert_eq!(kept.len(), 2);
+        let (fresh, hit) = (&kept[0], &kept[1]);
+        let span_names = |t: &frappe_obs::CompletedTrace| {
+            let mut names: Vec<String> = t.spans.iter().map(|s| s.name.clone()).collect();
+            names.sort_unstable();
+            names
+        };
+        assert_eq!(
+            span_names(hit),
+            ["serve/classify", "serve/queue", "serve/score"],
+            "a hit records the miss's spans minus the model eval"
+        );
+        assert!(span_names(fresh).iter().any(|n| n == "serve/model_eval"));
+        let root = hit.span("serve/classify").unwrap();
+        let queue = hit.span("serve/queue").unwrap();
+        let score = hit.span("serve/score").unwrap();
+        assert_eq!(queue.parent, Some(root.id));
+        assert_eq!(score.parent, Some(root.id));
+        assert_eq!(queue.start_us, queue.end_us, "no queue wait for a hit");
+        assert_eq!(score.start_us, queue.start_us);
+        assert!(hit.events.iter().any(|e| e.name == "cache_hit"));
+        assert_eq!(hit.outcome, "ok");
     }
 
     #[test]

@@ -344,6 +344,92 @@ fn concurrent_socket_verdicts_are_byte_identical_to_in_process() {
     }
 }
 
+/// The pipelining guard serves at most `max_requests_per_wake` requests
+/// per connection per pass. Complete requests it leaves buffered get no
+/// fd edge of their own, so the edge must come back for them without the
+/// client sending another byte — for plain routes and for classifies
+/// answered from the verdict cache alike.
+#[test]
+fn pipelined_requests_beyond_the_guard_are_answered_in_one_round() {
+    let service = Arc::new(service_with(ServeConfig::default()));
+    let app = AppId(5);
+    feed_app(&service, app, true, 2);
+    let expected = serde_json::to_string(&service.classify(app).unwrap()).unwrap();
+    let batches = service.metrics().batches_scored;
+    let config = NetConfig::default();
+    let n = 2 * config.max_requests_per_wake + 1;
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+
+    let classify = format!("/v1/classify/{}", app.raw());
+    for (path, body) in [("/healthz", r#"{"status":"ok"}"#), (&classify, &expected)] {
+        let mut client = Client::connect(server.local_addr());
+        let burst = format!("GET {path} HTTP/1.1\r\n\r\n").repeat(n);
+        client.stream.write_all(burst.as_bytes()).unwrap();
+        for i in 0..n {
+            // a stranded request shows up as the read timing out here
+            let response = client.read_response();
+            assert_eq!(response.status, 200, "{path} #{i}");
+            assert_eq!(response.body_str(), body, "{path} #{i}");
+        }
+    }
+    assert_eq!(
+        service.metrics().batches_scored,
+        batches,
+        "every pipelined classify was a cache hit, served without the pool"
+    );
+}
+
+/// A client that pipelines past the guard and then half-closes still gets
+/// every answer before the edge closes the connection.
+#[test]
+fn pipelined_requests_before_eof_are_all_answered() {
+    let service = Arc::new(service_with(ServeConfig::default()));
+    let config = NetConfig::default();
+    let n = 2 * config.max_requests_per_wake + 1;
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr());
+    let burst = "GET /healthz HTTP/1.1\r\n\r\n".repeat(n);
+    client.stream.write_all(burst.as_bytes()).unwrap();
+    client.stream.shutdown(std::net::Shutdown::Write).unwrap();
+    for i in 0..n {
+        assert_eq!(client.read_response().status, 200, "#{i}");
+    }
+    let mut rest = Vec::new();
+    client
+        .stream
+        .read_to_end(&mut rest)
+        .expect("the edge closes");
+    assert!(
+        rest.is_empty() && client.buf.is_empty(),
+        "nothing beyond the answers"
+    );
+}
+
+/// `Connection: close` ends the connection after its own response: a
+/// request pipelined behind it is never served (RFC 9112 §9.6).
+#[test]
+fn no_request_pipelined_after_connection_close_is_served() {
+    let service = Arc::new(service_with(ServeConfig::default()));
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr());
+    client
+        .stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+    assert_eq!(client.read_response().status, 200);
+    let mut rest = Vec::new();
+    client
+        .stream
+        .read_to_end(&mut rest)
+        .expect("the edge closes");
+    assert!(
+        rest.is_empty() && client.buf.is_empty(),
+        "the second request got an answer"
+    );
+}
+
 #[test]
 fn saturated_scorer_pool_answers_429_with_retry_after() {
     // workers = 0 is a deliberately stalled pool: the single queue slot
