@@ -14,10 +14,16 @@ cargo test -q -p frappe-obs
 
 echo "==> cargo test -q -p frappe-serve --test catalog_parity (shard sweep 1/4/16, groups 1/2/4/8)"
 # The randomized parity property test sweeps shard counts {1, 4, 16}
-# internally (SHARD_COUNTS in tests/catalog_parity.rs) and the router
-# test sweeps group counts {1, 2, 4, 8} (GROUP_COUNTS); run it explicitly
-# so a catalog/serve drift fails fast with its own banner.
+# internally (SHARD_COUNTS in tests/catalog_parity.rs) and the
+# partitioned-service test sweeps ServeConfig::groups over {1, 2, 4, 8}
+# (GROUP_COUNTS); run it explicitly so a catalog/serve drift fails fast
+# with its own banner.
 cargo test -q -p frappe-serve --test catalog_parity
+
+echo "==> vendored serde_json stand-in tests (JSON parsing on the edge's hot path)"
+# vendor/ is excluded from the workspace, so its tests need their own
+# run; the stand-in parses every NDJSON line the edge reads.
+CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml
 
 echo "==> cargo build -p frappe-obs --no-default-features (instrumentation off)"
 cargo build -p frappe-obs --no-default-features
@@ -49,12 +55,12 @@ cargo test -q -p frappe-lifecycle --no-default-features
 FRAPPE_JOBS=1 cargo test -q -p frappe-lifecycle --test lifecycle
 FRAPPE_JOBS=8 cargo test -q -p frappe-lifecycle --test lifecycle
 
-echo "==> shard-group suite (fenced multi-group swaps, shared known-names flips) at K=1 and K=4"
-# The shared-nothing deployment: a fenced promote/rollback must land on
-# every group atomically under load, and a mid-stream known-names flip
-# must reach every group exactly like a single service. Run at the
-# degenerate single-group shape and a genuinely partitioned one, with
-# span instrumentation compiled in and out.
+echo "==> partition suite (fenced multi-group swaps, shared known-names flips) at K=1 and K=4"
+# One FrappeService over K partitions (ServeConfig::groups): a fenced
+# promote/rollback must land on every partition atomically under load,
+# and a mid-stream known-names flip must reach every partition exactly
+# like a one-group service. Run at K=1 and a genuinely partitioned
+# shape, with span instrumentation compiled in and out.
 FRAPPE_SHARD_GROUPS=1 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --no-default-features --test shard
@@ -103,7 +109,7 @@ cargo run --release -p frappe-bench --bin repro -- --small --lifecycle-bench-out
 echo "==> edge bench, quick mode (socket ingest/classify/shed/drain, BENCH_edge.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --edge-bench-out BENCH_edge.json
 
-echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, BENCH_shard.json)"
+echo "==> shard bench, quick mode (partition scaling + zero-stale swap leg, BENCH_shard.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --shard-bench-out BENCH_shard.json
 
 echo "==> scoring bench, quick mode (scalar/SIMD/RFF kernels, BENCH_scoring.json)"

@@ -20,14 +20,12 @@
 //! trains with one attached). The banner discloses what actually
 //! dispatched.
 //!
-//! `--shard-groups K` deploys the serving layer as K shared-nothing
-//! shard groups behind a hashing `ShardRouter` instead of one
-//! `FrappeService` — in both in-process and `--connect self` modes.
-//! Ingest then goes through bounded per-group mailboxes (loadgen honours
-//! the reject-with-retry-after contract), the exit metrics are the
-//! merged whole-deployment scrape, and `--swap-every` exercises the
-//! shared control plane's globally atomic hot swap. The audit log is a
-//! single-service feature and is skipped when sharded.
+//! `--shard-groups K` sets `ServeConfig::groups`: the service splits the
+//! app-id space across K partitions, each with its own store, cache and
+//! scorer pool — in both in-process and `--connect self` modes. The exit
+//! metrics are then the merged scrape with per-group lanes, and
+//! `--swap-every` exercises the shared control plane's globally atomic
+//! hot swap.
 //!
 //! On exit the run always prints the service registry as Prometheus text;
 //! `--metrics-out` additionally dumps it as JSONL, `--profile` enables the
@@ -61,10 +59,7 @@ use frappe_bench::edgebench::{quantile_us, EdgeClient};
 use frappe_bench::lab::{Archive, Lab};
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{AuditLog, TraceCollector, TraceConfig};
-use frappe_serve::{
-    serve_events, FrappeService, ScoringBackend, ServeConfig, ServeError, ServeEvent, ShardConfig,
-    ShardRouter,
-};
+use frappe_serve::{serve_events, FrappeService, ServeConfig, ServeError, ServeEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use svm::{Kernel, SvmParams};
@@ -179,65 +174,24 @@ fn parse_options() -> Options {
     opts
 }
 
-/// Per-group serving knobs from the CLI (the whole config under one
-/// service; each group's copy under `--shard-groups`).
+/// Serving knobs from the CLI.
 fn serve_config(opts: &Options) -> ServeConfig {
     ServeConfig {
+        groups: opts.shard_groups.unwrap_or(1),
         shards: opts.shards,
         workers: opts.workers,
         ..ServeConfig::default()
     }
 }
 
-/// Builds the serving backend the options ask for: one `FrappeService`,
-/// or K shared-nothing shard groups behind the hashing router. The audit
-/// log is a single-service hook (the backend trait has no audit verb),
-/// so it only attaches to the unsharded shape.
-fn build_backend(
-    opts: &Options,
-    model: FrappeModel,
-    lab: &Lab,
-    audit: Option<&Arc<AuditLog>>,
-) -> Arc<dyn ScoringBackend> {
-    match opts.shard_groups {
-        Some(groups) => Arc::new(ShardRouter::new(
-            model,
-            lab.known_malicious_names(),
-            lab.world.shortener.clone(),
-            ShardConfig {
-                groups,
-                mailbox_capacity: 4096,
-                group: serve_config(opts),
-            },
-        )),
-        None => {
-            let service = Arc::new(FrappeService::new(
-                model,
-                lab.known_malicious_names(),
-                lab.world.shortener.clone(),
-                serve_config(opts),
-            ));
-            if let Some(audit) = audit {
-                service.set_audit_log(Arc::clone(audit));
-            }
-            service
-        }
-    }
-}
-
-/// Forwards one event into the backend, honouring the backpressure
-/// contract: a full group mailbox answers `Overloaded` with a retry
-/// hint (a single service never rejects ingest).
-fn ingest_backend(service: &dyn ScoringBackend, event: &ServeEvent) {
-    loop {
-        match service.ingest_event(event) {
-            Ok(()) => return,
-            Err(ServeError::Overloaded { retry_after_ms }) => {
-                std::thread::sleep(Duration::from_millis(retry_after_ms));
-            }
-            Err(err) => panic!("ingest failed: {err}"),
-        }
-    }
+/// Builds the service the options ask for.
+fn build_service(opts: &Options, model: FrappeModel, lab: &Lab) -> Arc<FrappeService> {
+    Arc::new(FrappeService::new(
+        model,
+        lab.known_malicious_names(),
+        lab.world.shortener.clone(),
+        serve_config(opts),
+    ))
 }
 
 /// Socket mode: ingest the scenario's events over `POST /v1/events`,
@@ -254,19 +208,19 @@ fn run_connect(opts: &Options, target: &str) {
     // `self` hosts the edge in-process (full stack: model training,
     // service, epoll loop); anything else is dialled as host:port and
     // only needs the event stream.
-    let hosted: Option<(Server, Arc<dyn ScoringBackend>)> = if target == "self" {
+    let hosted: Option<(Server, Arc<FrappeService>)> = if target == "self" {
         let (samples, labels) = lab.labelled_features(
             &lab.bundle.d_sample.malicious,
             &lab.bundle.d_sample.benign,
             Archive::Extended,
         );
         let model = FrappeModel::train(&samples, &labels, FeatureSet::Full, None);
-        let service = build_backend(opts, model, &lab, None);
+        let service = build_service(opts, model, &lab);
         if opts.trace_out.is_some() {
             // Before bind, so the edge mints the trace at the socket.
             service.set_trace_collector(TraceCollector::new(TraceConfig::default()));
         }
-        let server = Server::bind_dyn(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
+        let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
             .expect("bind the edge on loopback");
         Some((server, service))
     } else {
@@ -446,8 +400,7 @@ fn run_connect(opts: &Options, target: &str) {
 
     if let Some((_, service)) = &hosted {
         // The self-hosted edge registers its net_* metrics on the
-        // backend's base registry, so they ride along in the merged
-        // whole-deployment exposition.
+        // service's base registry, so they ride along in its exposition.
         println!(
             "\nprometheus:\n{}",
             service.exposition().to_prometheus_text()
@@ -510,18 +463,17 @@ fn main() {
     // With a linear kernel every fresh verdict is explainable; the log
     // stays empty under RBF (explain() returns None) but costs nothing.
     let audit = Arc::new(AuditLog::default());
-    let service = build_backend(&opts, model, &lab, Some(&audit));
+    let service = build_service(&opts, model, &lab);
+    service.set_audit_log(Arc::clone(&audit));
     if opts.trace_out.is_some() {
         service.set_trace_collector(TraceCollector::new(TraceConfig::default()));
     }
 
-    // prime the store with one full replay so every app is classifiable
-    // (flushing the group mailboxes when sharded), then keep the ingest
-    // thread replaying for the whole measurement
+    // prime the store with one full replay so every app is classifiable,
+    // then keep the ingest thread replaying for the whole measurement
     for event in &events {
-        ingest_backend(service.as_ref(), event);
+        service.ingest(event);
     }
-    service.flush_ingest();
     let apps = Arc::new(service.tracked_apps());
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -533,7 +485,7 @@ fn main() {
             let mut replayed = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 for event in &events {
-                    ingest_backend(service.as_ref(), event);
+                    service.ingest(event);
                     replayed += 1;
                 }
             }
@@ -615,8 +567,8 @@ fn main() {
         serde_json::to_string_pretty(&service.metrics()).expect("metrics serialize")
     );
 
-    // The merged exposition refreshes the depth gauges and, when
-    // sharded, folds every group's registry into one scrape.
+    // The exposition refreshes the depth gauges and, with several
+    // partitions, folds every group's registry into one scrape.
     let registry = service.exposition();
     if let Some(path) = &opts.metrics_out {
         match std::fs::write(path, registry.to_jsonl()) {
@@ -639,9 +591,7 @@ fn main() {
     println!("\nprometheus:\n{}", registry.to_prometheus_text());
 
     let records = audit.snapshot();
-    if opts.shard_groups.is_some() {
-        println!("audit: skipped (the audit log is a single-service hook)");
-    } else if records.is_empty() {
+    if records.is_empty() {
         println!("audit: no records (run with --linear for per-feature contributions)");
     } else {
         let consistent = records.iter().all(|r| r.is_consistent(1e-6));

@@ -11,7 +11,7 @@
 //!                             # time retrain / hot-swap / shadow, write JSON
 //! repro --edge-bench-out FILE # time the network edge over real sockets
 //! repro --shard-bench-out FILE
-//!                             # time shard-group scaling at K in {1,2,4,8}
+//!                             # time partition scaling at K in {1,2,4,8}
 //! repro --scoring-bench-out FILE
 //!                             # time scalar/SIMD/RFF kernel scoring, write JSON
 //! repro --gauntlet-bench-out FILE
@@ -196,11 +196,11 @@ fn main() {
             return;
         }
     }
-    // The shard-group scaling benchmark builds its own small world; same
+    // The partition scaling benchmark builds its own small world; same
     // standalone-and-exit-early contract as the other benches.
     if let Some(path) = &shard_bench_out {
         eprintln!(
-            "timing shard-group scaling at K in {{1, 2, 4, 8}} ({} mode)...",
+            "timing partition scaling at K in {{1, 2, 4, 8}} ({} mode)...",
             if small { "quick" } else { "full" }
         );
         let report = frappe_bench::shardbench::run(small);

@@ -1,12 +1,12 @@
-//! Shard-group scaling benchmark: the shared-nothing router vs itself.
+//! Partition scaling benchmark: one `FrappeService` at K = 1, 2, 4, 8.
 //!
 //! This module produces one machine-readable [`ShardBenchReport`] that
 //! `repro --shard-bench-out` serializes to `BENCH_shard.json`: ingest
-//! throughput (events/s through the hashing router's mailboxes, flush
-//! barrier included) and classify throughput with p50/p99 latency, each
-//! measured at group counts {1, 2, 4, 8} over the same world, the same
-//! model, and the same per-group configuration — so the only variable is
-//! K. A final leg hammers classify across repeated hot swaps on the
+//! throughput (events/s applied inline to each event's owner partition)
+//! and classify throughput with p50/p99 latency, each measured at
+//! partition counts {1, 2, 4, 8} (`ServeConfig::groups`) over the same
+//! world, the same model, and the same per-partition configuration — so
+//! the only variable is K. A final leg hammers classify across repeated hot swaps on the
 //! largest deployment and counts **stale-epoch verdicts** (a model
 //! version observed going backwards on any thread); the tentpole
 //! invariant is that the count is zero.
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use frappe::{FeatureSet, FrappeModel};
 use frappe_jobs::JobPool;
-use frappe_serve::{serve_events, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
+use frappe_serve::{serve_events, FrappeService, ServeConfig};
 use osn_types::ids::AppId;
 use serde::{Deserialize, Serialize};
 
@@ -35,11 +35,11 @@ pub const GROUP_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// One group-count point on the scaling curve.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GroupRunBench {
-    /// Shard groups (K).
+    /// Partitions (K, `ServeConfig::groups`).
     pub groups: usize,
-    /// Events forwarded through the router.
+    /// Events ingested.
     pub ingest_events: usize,
-    /// Wall-clock of the forward + flush barrier, milliseconds.
+    /// Wall-clock of the ingest, milliseconds.
     pub ingest_wall_ms: f64,
     /// `ingest_events / ingest_wall`.
     pub ingest_events_per_s: f64,
@@ -63,7 +63,7 @@ pub struct GroupRunBench {
 /// classify traffic on the largest deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SwapUnderLoadBench {
-    /// Shard groups the leg ran with.
+    /// Partitions the leg ran with.
     pub groups: usize,
     /// Hot swaps applied while the hammer threads ran.
     pub swaps: usize,
@@ -76,7 +76,7 @@ pub struct SwapUnderLoadBench {
     pub stale_epoch_verdicts: u64,
 }
 
-/// The full shard-group benchmark report (`BENCH_shard.json`).
+/// The full partition benchmark report (`BENCH_shard.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardBenchReport {
     /// `std::thread::available_parallelism()` on the measuring machine —
@@ -93,23 +93,7 @@ pub struct ShardBenchReport {
     pub swap_under_load: SwapUnderLoadBench,
 }
 
-/// Forwards one event, spinning while its owner group's mailbox is full
-/// (benches measure throughput, not the retry policy).
-fn ingest_routed(router: &ShardRouter, event: &ServeEvent) {
-    while router.ingest(event).is_err() {
-        std::thread::yield_now();
-    }
-}
-
-fn shard_config(groups: usize) -> ShardConfig {
-    ShardConfig {
-        groups,
-        mailbox_capacity: 4096,
-        group: ServeConfig::default(),
-    }
-}
-
-/// Runs the shard-group benchmark on the small deterministic world.
+/// Runs the partition benchmark on the small deterministic world.
 /// `quick` shrinks the classify sweep and swap counts to CI size; the
 /// ingest leg always replays the world's full event stream.
 pub fn run(quick: bool) -> ShardBenchReport {
@@ -141,31 +125,32 @@ pub fn run(quick: bool) -> ShardBenchReport {
 
     let hammer_threads = threads_available.clamp(2, 8);
     let mut runs: Vec<GroupRunBench> = Vec::with_capacity(GROUP_COUNTS.len());
-    let mut largest: Option<Arc<ShardRouter>> = None;
+    let mut largest: Option<FrappeService> = None;
     for &groups in &GROUP_COUNTS {
-        let router = Arc::new(ShardRouter::new(
+        let service = FrappeService::new(
             model.clone(),
             lab.known_malicious_names(),
             lab.world.shortener.clone(),
-            shard_config(groups),
-        ));
+            ServeConfig {
+                groups,
+                ..ServeConfig::default()
+            },
+        );
 
-        // Ingest: one feeder forwards the whole stream, then the flush
-        // barrier waits for every group to drain — the wall covers both,
-        // so K groups applying in parallel is what the number measures.
+        // Ingest: one feeder applies the whole stream, each event to its
+        // owner partition's store.
         let t = Instant::now();
         for event in &events {
-            ingest_routed(&router, event);
+            service.ingest(event);
         }
-        router.flush();
         let ingest_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Classify: hammer threads walk the tracked apps with coprime
         // strides, so every group's scorer lane stays busy. One warm-up
         // sweep first — the curve compares scorer lanes, not cold caches.
-        let apps = router.tracked_apps();
+        let apps = service.tracked_apps();
         for &app in &apps {
-            router.classify(app).expect("tracked app");
+            service.classify(app).expect("tracked app");
         }
         let per_thread = queries_per_k.div_ceil(hammer_threads);
         let t = Instant::now();
@@ -173,7 +158,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..hammer_threads)
                 .map(|tid| {
-                    let router = &router;
+                    let service = &service;
                     let apps = &apps;
                     s.spawn(move || {
                         let mut lat = Vec::with_capacity(per_thread);
@@ -182,7 +167,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
                             let app = apps[i % apps.len()];
                             i += 7;
                             let t = Instant::now();
-                            router.classify(app).expect("tracked app");
+                            service.classify(app).expect("tracked app");
                             lat.push(t.elapsed().as_micros() as u64);
                         }
                         lat
@@ -211,21 +196,21 @@ pub fn run(quick: bool) -> ShardBenchReport {
             classify_p99_us: quantile_us(&latencies, 0.99),
             classify_speedup_vs_one_group: classify_per_s / baseline.max(1e-9),
         });
-        largest = Some(router);
+        largest = Some(service);
     }
 
     // Swap-under-load: repeated hot swaps on the largest deployment with
     // every hammer thread recording the version of every verdict it sees.
     // A version observed going backwards would mean some group served a
     // pre-swap epoch after another group served the post-swap one.
-    let router = largest.expect("GROUP_COUNTS is non-empty");
-    let apps = router.tracked_apps();
+    let service = largest.expect("GROUP_COUNTS is non-empty");
+    let apps = service.tracked_apps();
     let stop = AtomicBool::new(false);
     let observed = AtomicU64::new(0);
     let stale = AtomicU64::new(0);
     std::thread::scope(|s| {
         for tid in 0..hammer_threads {
-            let router = &router;
+            let service = &service;
             let apps: &[AppId] = &apps;
             let (stop, observed, stale) = (&stop, &observed, &stale);
             s.spawn(move || {
@@ -234,7 +219,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
                 while !stop.load(Ordering::Relaxed) {
                     let app = apps[i % apps.len()];
                     i += 7;
-                    let verdict = router.classify(app).expect("tracked app");
+                    let verdict = service.classify(app).expect("tracked app");
                     observed.fetch_add(1, Ordering::Relaxed);
                     if verdict.model_version < last {
                         stale.fetch_add(1, Ordering::Relaxed);
@@ -245,13 +230,13 @@ pub fn run(quick: bool) -> ShardBenchReport {
         }
         for i in 0..swaps {
             let next = if i % 2 == 0 { &alt } else { &main };
-            router.swap_model(Arc::clone(next), 2 + i as u64);
+            service.swap_model(Arc::clone(next), 2 + i as u64);
             std::thread::sleep(Duration::from_millis(2));
         }
         stop.store(true, Ordering::Relaxed);
     });
     let swap_under_load = SwapUnderLoadBench {
-        groups: router.group_count(),
+        groups: service.group_count(),
         swaps,
         verdicts_observed: observed.load(Ordering::Relaxed),
         stale_epoch_verdicts: stale.load(Ordering::Relaxed),

@@ -217,9 +217,9 @@ impl DriftDetector {
     ///
     /// Every detector lays its histograms out identically (one lane per
     /// catalog feature, static bin edges per [`FeatureId`]), so windows
-    /// observed on different shard groups merge by pure count addition —
-    /// this is how a sharded deployment keeps one drift verdict: each
-    /// group's queries feed a private window lane, and the lanes are
+    /// observed on different partitions merge by pure count addition —
+    /// this is how a partitioned service keeps one drift verdict: each
+    /// partition's queries feed a private window lane, and the lanes are
     /// absorbed into the baseline-holding detector at report time.
     pub fn absorb_window(&mut self, other: &mut DriftDetector) {
         debug_assert_eq!(self.window.len(), other.window.len());

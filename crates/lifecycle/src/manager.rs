@@ -1,5 +1,5 @@
 //! The lifecycle manager: one façade wiring registry, shadow, drift, and
-//! a running scoring backend ([`ScoringBackend`]) together.
+//! a running [`FrappeService`] together.
 //!
 //! The manager owns the deployment loop the rest of the crate only
 //! provides parts for:
@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use frappe::FrappeModel;
 use frappe_obs::{Counter, Gauge, LifecycleEvent};
-use frappe_serve::{ScoringBackend, ServeError, Verdict};
+use frappe_serve::{FrappeService, ServeError, Verdict};
 use osn_types::ids::AppId;
 use parking_lot::Mutex;
 
@@ -85,17 +85,15 @@ struct LifecycleMetrics {
 }
 
 /// Wires a [`ModelRegistry`] and a [`DriftDetector`] to a running
-/// scoring backend — a single [`frappe_serve::FrappeService`] or a
-/// [`frappe_serve::ShardRouter`] over K shard groups; see the module
-/// docs for the loop it runs.
+/// [`FrappeService`]; see the module docs for the loop it runs.
 ///
-/// Drift windows are **replicated per group**: every query's feature row
-/// lands in the window lane of the group that owns the app, and the
-/// lanes are absorbed into one baseline-holding detector at
-/// [`check_drift`](Self::check_drift) time, so a sharded deployment
+/// Drift windows are **replicated per partition**: every query's feature
+/// row lands in the window lane of the partition that owns the app, and
+/// the lanes are absorbed into one baseline-holding detector at
+/// [`check_drift`](Self::check_drift) time, so a partitioned service
 /// still produces exactly one PSI verdict.
 pub struct LifecycleManager {
-    service: Arc<dyn ScoringBackend>,
+    service: Arc<FrappeService>,
     registry: ModelRegistry,
     gate: PromotionGate,
     shadow: Mutex<Option<ShadowSlot>>,
@@ -106,27 +104,25 @@ pub struct LifecycleManager {
 }
 
 impl LifecycleManager {
-    /// Wires the pieces together around any [`ScoringBackend`].
+    /// Wires the pieces together around a running service.
     ///
     /// # Panics
     /// Panics unless `service` scores through the registry's own handle
-    /// (build it with [`frappe_serve::FrappeService::with_shared_model`]
-    /// — or, for a router, a [`frappe_serve::ControlPlane`] wrapping —
+    /// (build it with [`FrappeService::with_shared_model`] around
     /// [`ModelRegistry::handle`]); with separate handles, "promote"
     /// would silently swap a model nobody serves.
-    pub fn new<B: ScoringBackend + 'static>(
-        service: Arc<B>,
+    pub fn new(
+        service: Arc<FrappeService>,
         registry: ModelRegistry,
         gate: PromotionGate,
         drift: DriftDetector,
     ) -> Self {
-        let service: Arc<dyn ScoringBackend> = service;
         assert!(
             service.model_handle().ptr_eq(&registry.handle()),
             "the service must score through the registry's SharedModel handle"
         );
-        // One window-only detector per shard group: queries for a group's
-        // apps never contend on another group's drift lock.
+        // One window-only detector per partition: queries for one
+        // partition's apps never contend on another's drift lock.
         let drift_lanes = (0..service.group_count())
             .map(|_| Mutex::new(DriftDetector::new(drift.config())))
             .collect();
@@ -193,8 +189,8 @@ impl LifecycleManager {
         }
     }
 
-    /// The wrapped scoring backend.
-    pub fn service(&self) -> &Arc<dyn ScoringBackend> {
+    /// The wrapped service.
+    pub fn service(&self) -> &Arc<FrappeService> {
         &self.service
     }
 
@@ -219,10 +215,11 @@ impl LifecycleManager {
     ) -> Result<Verdict, ServeError> {
         let verdict = self.service.classify(app)?;
         if let Some(features) = self.service.features(app) {
-            // Observe into the owning group's window lane — sharded
-            // deployments never serialize drift bookkeeping globally.
-            let lane = self.service.group_of(app) % self.drift_lanes.len();
-            self.drift_lanes[lane].lock().observe(&features);
+            // Observe into the owning partition's window lane — drift
+            // bookkeeping is never serialized across partitions.
+            self.drift_lanes[self.service.group_of(app)]
+                .lock()
+                .observe(&features);
             let mut slot = self.shadow.lock();
             if let Some(slot) = slot.as_mut() {
                 let shadow_verdict = slot.model.predict(&features);
@@ -320,7 +317,7 @@ impl LifecycleManager {
 
     /// Re-freezes the drift baseline (call when a model trained on fresh
     /// rows takes over) and clears the live window — including every
-    /// group's not-yet-absorbed lane.
+    /// partition's not-yet-absorbed lane.
     pub fn refit_drift_baseline(&self, rows: &[frappe::AppFeatures]) {
         self.drift.lock().fit_baseline(rows);
         for lane in &self.drift_lanes {
@@ -335,9 +332,9 @@ impl LifecycleManager {
     pub fn check_drift(&self) -> DriftReport {
         let report = {
             let mut main = self.drift.lock();
-            // Drain every group's window lane into the baseline-holding
-            // detector: one PSI verdict over the whole deployment's
-            // traffic, whatever the group count.
+            // Drain every partition's window lane into the
+            // baseline-holding detector: one PSI verdict over the whole
+            // service's traffic, whatever the partition count.
             for lane in &self.drift_lanes {
                 main.absorb_window(&mut lane.lock());
             }

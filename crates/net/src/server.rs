@@ -1,14 +1,14 @@
 //! The server: one event-loop thread driving listener + connections over
-//! the [`crate::reactor`], routing HTTP requests into any
-//! [`ScoringBackend`] — a single [`frappe_serve::FrappeService`] or a
-//! [`frappe_serve::ShardRouter`] over K shard groups (the edge code is
-//! identical either way; only construction differs).
+//! the [`crate::reactor`], routing HTTP requests into a
+//! [`FrappeService`] — with one partition or K of them
+//! ([`frappe_serve::ServeConfig::groups`]); the edge code is the same
+//! either way.
 //!
 //! ## Routes
 //!
 //! | route | verb | body | answer |
 //! |---|---|---|---|
-//! | `/v1/events` | POST | NDJSON [`ServeEvent`] lines | `202 {"ingested":n}` (parse is all-or-nothing) |
+//! | `/v1/events` | POST | NDJSON [`ServeEvent`] lines | `202 {"ingested":n}` (all-or-nothing) |
 //! | `/v1/classify/{app_id}` | GET | — | `200` [`frappe_serve::Verdict`] JSON |
 //! | `/metrics` | GET | — | `200` Prometheus text |
 //! | `/healthz` | GET | — | `200 {"status":"ok"}` |
@@ -72,7 +72,7 @@ use frappe_obs::{
 };
 use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
 use frappe_serve::{
-    ErrorEnvelope, Notify, PendingVerdict, ScoringBackend, ServeError, ServeEvent, Verdict,
+    ErrorEnvelope, FrappeService, Notify, PendingVerdict, ServeError, ServeEvent, Verdict,
 };
 use osn_types::ids::AppId;
 
@@ -152,11 +152,10 @@ struct NetMetrics {
     read_stalls: Arc<Counter>,
     requests: Arc<Counter>,
     responses_429: Arc<Counter>,
-    /// Submit-time 429s attributed to the shard group that shed them
+    /// Submit-time 429s attributed to the partition that shed them
     /// (a distinct family from `net_http_429`, which stays the
-    /// deployment-wide total — same name plus labels would double-count
-    /// in a merged scrape). One lane per group; single-service edges get
-    /// exactly one.
+    /// service-wide total — same name plus labels would double-count in
+    /// a merged scrape). One lane per partition.
     responses_429_by_group: Vec<Arc<Counter>>,
     request_latency: Arc<Histogram>,
     drains: Arc<Counter>,
@@ -174,7 +173,7 @@ impl NetMetrics {
             read_stalls: registry.counter("net_read_stalls"),
             requests: registry.counter("net_http_requests"),
             responses_429: registry.counter("net_http_429"),
-            responses_429_by_group: (0..group_count.max(1))
+            responses_429_by_group: (0..group_count)
                 .map(|g| {
                     registry.counter_with("net_http_429_by_group", &[("group", &g.to_string())])
                 })
@@ -287,23 +286,10 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), registers the
-    /// edge's `net_*` metrics on the backend's base obs registry, and
-    /// spawns the event-loop thread. Accepts any [`ScoringBackend`] —
-    /// `Arc<FrappeService>` and `Arc<ShardRouter>` both work unchanged.
-    pub fn bind<A: ToSocketAddrs, B: ScoringBackend + 'static>(
-        service: Arc<B>,
-        addr: A,
-        config: NetConfig,
-    ) -> io::Result<Server> {
-        Self::bind_dyn(service, addr, config)
-    }
-
-    /// [`bind`](Self::bind) for an already-erased backend handle —
-    /// callers that pick the deployment shape at runtime hold an
-    /// `Arc<dyn ScoringBackend>`, which the generic signature cannot
-    /// accept (`B` must be sized).
-    pub fn bind_dyn<A: ToSocketAddrs>(
-        service: Arc<dyn ScoringBackend>,
+    /// edge's `net_*` metrics on the service's base obs registry, and
+    /// spawns the event-loop thread.
+    pub fn bind<A: ToSocketAddrs>(
+        service: Arc<FrappeService>,
         addr: A,
         config: NetConfig,
     ) -> io::Result<Server> {
@@ -347,8 +333,10 @@ impl Server {
             slo_clock,
         );
 
-        let queue_capacity = service.queue_capacity();
-        let retry_after_ms = service.retry_after_ms();
+        // Every partition has its own scoring queue; the resume
+        // hysteresis compares their summed depth with the summed capacity.
+        let queue_capacity = service.config().queue_capacity * service.group_count();
+        let retry_after_ms = service.config().retry_after_ms;
         let verdict_ready: Notify = {
             let waker = waker.clone();
             Arc::new(move || waker.wake())
@@ -461,7 +449,7 @@ enum Routed {
 }
 
 struct EventLoop {
-    service: Arc<dyn ScoringBackend>,
+    service: Arc<FrappeService>,
     listener: TcpListener,
     reactor: Reactor,
     shared: Arc<Shared>,
@@ -800,11 +788,11 @@ impl EventLoop {
         match (request.method, request.path.as_str()) {
             (Method::Get, "/healthz") => done(Response::json(200, &br#"{"status":"ok"}"#[..])),
             (Method::Get, "/metrics") => {
-                // Publish edge-side state into the backend's *base*
+                // Publish edge-side state into the service's *base*
                 // registry first; `exposition()` then snapshots it and —
-                // for a sharded backend — merges every group's registry
+                // with several partitions — merges every group's registry
                 // in per-group lanes without double-counting shared
-                // families. One scrape, whole deployment.
+                // families. One scrape, whole service.
                 let registry = self.service.obs_registry();
                 if let Some(tc) = &self.trace {
                     tc.publish_metrics(registry);
@@ -866,12 +854,9 @@ impl EventLoop {
         }
     }
 
-    /// `POST /v1/events`: NDJSON. Parsing is all-or-nothing — every line
-    /// must parse before any event is forwarded, so a *malformed* batch
-    /// moves no feature. Forwarding can still shed on a sharded backend
-    /// (a full group mailbox answers 429 with `Retry-After`); events
-    /// before the shed point are applied, and the envelope tells the
-    /// client to retry the remainder.
+    /// `POST /v1/events`: NDJSON, all-or-nothing — every line must parse
+    /// before any event is applied, so a malformed batch moves no
+    /// feature, and a parsed batch is applied whole.
     fn ingest_events(&self, body: &[u8]) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
             return Response::json(400, &br#"{"error":"body is not UTF-8"}"#[..]);
@@ -895,12 +880,7 @@ impl EventLoop {
             }
         }
         for event in &events {
-            if let Err(err) = self.service.ingest_event(event) {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.shed(self.service.group_of(event.app()));
-                }
-                return error_response(err);
-            }
+            self.service.ingest(event);
         }
         Response::json(
             202,

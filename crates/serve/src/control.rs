@@ -1,13 +1,11 @@
-//! The replicated control plane.
+//! The shared control plane.
 //!
-//! Before shard groups existed, `FrappeService` *was* the control plane:
-//! it privately owned the model epoch pointer and the known-malicious
-//! name list, so "swap the model" and "flag a name" had exactly one
-//! observer. With K partition-owning groups those two pieces of state
-//! must be **shared by construction**, not copied — a copy per group
-//! would let a hot swap land on group 0 while group 3 still scores the
-//! old epoch, and the tentpole invariant is that no group ever serves a
-//! mix of epochs.
+//! A [`crate::FrappeService`] with K partitions scores every partition
+//! through one model epoch pointer and one known-malicious name list.
+//! Those two pieces of state must be **shared by construction**, not
+//! copied — a copy per partition would let a hot swap land on group 0
+//! while group 3 still scores the old epoch, and the invariant is that
+//! no group ever serves a mix of epochs.
 //!
 //! [`ControlPlane`] is that shared state made explicit:
 //!
@@ -34,12 +32,12 @@ use frappe::{FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
 use frappe_obs::Registry;
 use serde::{Deserialize, Serialize};
 
-/// Versioned serving-control state shared by every shard group.
+/// Versioned serving-control state shared by every partition.
 ///
-/// Constructed once, wrapped in an `Arc`, and handed to each group (and
-/// to the lifecycle layer): clones of the inner handles *share state*,
-/// so mutations through the control plane are visible to all groups at
-/// the same instant.
+/// Constructed once per service; every partition's scorer holds clones
+/// of its handles (and a lifecycle registry holds the model handle).
+/// Clones *share state*, so mutations through the control plane are
+/// visible to all partitions at the same instant.
 pub struct ControlPlane {
     model: SharedModel,
     known: SharedKnownNames,
@@ -130,7 +128,7 @@ impl ControlPlane {
     }
 
     /// Publishes the version vector as `control_*` gauges — the
-    /// router's base registry carries these so the merged exposition
+    /// service's base registry carries these so the merged exposition
     /// reports shared control state exactly once (never summed across
     /// groups, where it would be counted K times).
     pub fn publish(&self, registry: &Registry) {
@@ -193,7 +191,7 @@ mod tests {
         };
         let samples: Vec<AppFeatures> = (0..4).flat_map(|_| [benign, malicious]).collect();
         let labels: Vec<bool> = (0..4).flat_map(|_| [false, true]).collect();
-        FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None)
+        FrappeModel::train(&samples, &labels, FeatureSet::Full, None)
     }
 
     #[test]

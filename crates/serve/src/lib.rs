@@ -9,16 +9,19 @@
 //! pre-trained [`frappe::FrappeModel`].
 //!
 //! ```text
-//!  platform tap ──► ServeEvent ──► FeatureStore (N shards, RwLock)
-//!  scenario replay ─┘                   │ snapshot
-//!                                       ▼
-//!  classify(app) ─► VerdictCache probe ─── hit ──────────► Verdict
-//!                      │ miss  (generation-stamped)          ▲
-//!                      ▼                                     │
-//!                  bounded queue ─► ScorerPool ─► score + cache put
-//!                      │ full?
-//!                      ▼
-//!                  Overloaded {retry_after}
+//!  platform tap ──► ServeEvent ──► ingest ─► owner partition's FeatureStore
+//!  scenario replay ─┘                         (N shards, RwLock) │ snapshot
+//!                                                                ▼
+//!  classify(app) ─► owner partition ─► VerdictCache probe ── hit ──► Verdict
+//!                                        │ miss (generation-stamped)   ▲
+//!                                        ▼                             │
+//!                                   bounded queue ─► ScorerPool ─► score + cache put
+//!                                        │ full?
+//!                                        ▼
+//!                                   Overloaded {retry_after}
+//!
+//!  K partitions (ServeConfig::groups, default 1) share one ControlPlane:
+//!  the model epoch pointer and the known-malicious names.
 //! ```
 //!
 //! The load-bearing invariant is **batch parity**: after ingesting a
@@ -30,11 +33,13 @@
 //! Module map: [`event`] is the input vocabulary, [`store`] the sharded
 //! incremental feature state, `pool` (private) the scorer workers with
 //! reject-with-retry-after backpressure, [`cache`] the generation-stamped
-//! verdict memo, [`metrics`] the observability layer (a thin view over a
-//! per-instance [`frappe_obs::Registry`], exportable as Prometheus text
-//! or JSONL), [`service`] the façade, and [`bridge`] the adapter from
-//! synthetic scenarios. The service can also stream explained verdicts
-//! into an [`frappe_obs::AuditLog`]
+//! verdict memo, [`control`] the model pointer and known names every
+//! partition shares, [`metrics`] the observability layer (a thin view
+//! over a per-partition [`frappe_obs::Registry`], exportable as
+//! Prometheus text or JSONL), `router` (private) the partition hash and
+//! the scrape merge, [`service`] the façade, and [`bridge`] the adapter
+//! from synthetic scenarios. The service can also stream explained
+//! verdicts into an [`frappe_obs::AuditLog`]
 //! (see [`FrappeService::set_audit_log`]).
 //!
 //! The service scores through a [`frappe::SharedModel`] epoch-pointer,
@@ -44,40 +49,37 @@
 //! model version that produced it, and the cache's model-epoch stamp
 //! guarantees no swap ever serves a stale verdict.
 //!
-//! ## Scale-out: shard groups
+//! ## Scale-out: partitions
 //!
-//! One service saturates around its store locks and one scorer lane.
-//! For scale-out, [`router::ShardRouter`] partitions the app-id space
-//! across K **shard groups** — each a complete private service (store,
-//! cache, scorer lane, registry) fed through a bounded per-group
-//! mailbox — while [`control::ControlPlane`] keeps the mutable control
-//! state (model epoch pointer, known-names generation) shared by
-//! construction, so hot swaps stay globally atomic. The
-//! [`backend::ScoringBackend`] trait lets the network edge and the
-//! lifecycle layer run unchanged against either shape.
+//! One partition saturates around its store locks and one scorer lane.
+//! [`ServeConfig::groups`] splits the app-id space across K partitions
+//! behind the same [`FrappeService`]: each owns a private store, cache,
+//! scorer pool and registry, and ingest and classify go straight to the
+//! owner partition on the caller's thread. The [`control::ControlPlane`]
+//! (model epoch pointer and known-names generation) is shared by
+//! construction, so hot swaps and name flags stay globally atomic, and
+//! [`FrappeService::exposition`] merges the K registries into one scrape
+//! with `group="<i>"` lanes. Verdicts are bit-identical at every K
+//! (`tests/catalog_parity.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod bridge;
 pub mod cache;
 pub mod control;
 pub mod event;
-pub(crate) mod group;
 pub mod metrics;
 pub(crate) mod pool;
-pub mod router;
+pub(crate) mod router;
 pub mod service;
 pub mod store;
 
-pub use backend::ScoringBackend;
 pub use bridge::{serve_events, service_from_world};
 pub use cache::CacheLookup;
 pub use control::{ControlPlane, ControlStamp};
 pub use event::ServeEvent;
 pub use metrics::{LatencySnapshot, MetricsSnapshot};
-pub use router::{ShardConfig, ShardRouter};
 pub use service::{
     ErrorEnvelope, FrappeService, Notify, PendingVerdict, ServeConfig, ServeError, Verdict,
 };

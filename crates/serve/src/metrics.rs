@@ -282,6 +282,36 @@ pub struct MetricsSnapshot {
     pub latency: LatencySnapshot,
 }
 
+impl MetricsSnapshot {
+    /// Folds another partition's snapshot into this one. Counters, the
+    /// queue depth and the latency histogram add, and the hit ratio is
+    /// recomputed; `model_swaps` takes the maximum, because every
+    /// partition books each shared swap once (the sum would count one
+    /// swap K times), and `model_version` is the shared model's, the same
+    /// in every partition.
+    pub(crate) fn absorb(&mut self, other: &MetricsSnapshot) {
+        self.events_ingested += other.events_ingested;
+        self.queries_served += other.queries_served;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.rejected += other.rejected;
+        self.batches_scored += other.batches_scored;
+        self.model_swaps = self.model_swaps.max(other.model_swaps);
+        self.cache_evictions += other.cache_evictions;
+        self.queue_depth += other.queue_depth;
+        debug_assert_eq!(self.latency.bounds_micros, other.latency.bounds_micros);
+        for (acc, c) in self.latency.counts.iter_mut().zip(&other.latency.counts) {
+            *acc += c;
+        }
+        self.latency.total_micros += other.latency.total_micros;
+        self.latency.count += other.latency.count;
+        let looked_up = self.cache_hits + self.cache_misses;
+        if looked_up > 0 {
+            self.cache_hit_ratio = self.cache_hits as f64 / looked_up as f64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -259,6 +259,7 @@ mod tests {
             KnownMaliciousNames::default(),
             Shortener::bitly(),
             ServeConfig {
+                groups: 1,
                 shards: 1,
                 workers: 1,
                 queue_capacity,

@@ -1,26 +1,12 @@
-//! The hashing router in front of K shard groups.
+//! Routing helpers for a [`FrappeService`](crate::FrappeService) with
+//! K > 1 partitions: which partition owns an app ([`group_index`]), and
+//! how the K partition registries merge into one scrape
+//! ([`merge_expositions`]).
 //!
-//! [`ShardRouter`] is the shared-nothing deployment of the serving
-//! stack: it partitions the app-id space across K `group` (shard-group)
-//! workers with a seeded hash, forwards ingest over each group's
-//! bounded mailbox, and forwards classify into each group's scorer
-//! lane — both with the same reject-with-retry-after contract a single
-//! [`FrappeService`] has. Control state (model pointer, known names)
-//! lives in one shared [`ControlPlane`], so swaps and name flags stay
-//! globally atomic across groups.
+//! ## Why the group hash is *not* the store hash
 //!
-//! ```text
-//!              ┌► mailbox ─► group 0 (store+cache+pool, private)
-//!  ingest ──hash                 ▲
-//!  classify ─hash─► submit ──────┘      … group K-1
-//!              │
-//!              └── ControlPlane (model epoch ptr + known names), shared
-//! ```
-//!
-//! ## Why the router hash is *not* the store hash
-//!
-//! Each group internally re-shards its partition with
-//! `store::shard_index`. If the router used the same mixer with
+//! Each partition internally re-shards its apps with
+//! `store::shard_index`. If the group hash used the same mixer with
 //! the same seed, then for group count K and inner shard count S with
 //! `gcd(K, S) > 1` the two hashes would correlate perfectly: every app
 //! owned by group `g` satisfies `h ≡ g (mod K)`, so at `K == S` all of a
@@ -31,41 +17,26 @@
 //!
 //! ## Metrics
 //!
-//! Every group owns a private registry (its `serve_*` lanes count only
-//! its partition). The router owns a base registry for `route_*` and
-//! `control_*` families, and [`ShardRouter::exposition`] merges all of
-//! them into one scrape: base families verbatim, each group's families
-//! re-labelled `group="<idx>"`, plus an unlabelled sum per additive
-//! family. Non-additive families (gauges, and counters that are K views
-//! of one shared mutation, like `serve_model_swaps`) are exempt from
-//! summing — that is the no-double-count rule, pinned byte-exactly in a
-//! test below.
+//! Every partition owns a private registry (its `serve_*` lanes count
+//! only its apps). The service's base registry holds the `route_*` and
+//! `control_*` families plus whatever the edge and the lifecycle layer
+//! register, and [`merge_expositions`] folds all of them into one
+//! scrape: base families verbatim, each group's families re-labelled
+//! `group="<idx>"`, plus an unlabelled sum per additive family.
+//! Non-additive families (gauges, and counters that are K views of one
+//! shared mutation, like `serve_model_swaps`) are exempt from summing —
+//! that is the no-double-count rule, pinned byte-exactly in a test below.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use frappe::features::aggregation::KnownMaliciousNames;
-use frappe::{AppFeatures, FrappeModel, SharedModel, VersionedModel};
-use frappe_obs::{
-    Counter, Gauge, HistogramSnapshot, MetricSnapshot, MetricValue, Registry, RegistrySnapshot,
-    SpanId, TraceCollector, TraceHandle,
-};
+use frappe_obs::{HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot};
 use osn_types::ids::AppId;
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
-use url_services::shortener::Shortener;
-
-use crate::control::{ControlPlane, ControlStamp};
-use crate::event::ServeEvent;
-use crate::group::ShardGroup;
-use crate::metrics::{LatencySnapshot, MetricsSnapshot};
-use crate::service::{FrappeService, Notify, PendingVerdict, ServeConfig, ServeError, Verdict};
 
 /// Counter families that every group bumps once per *shared* control
 /// mutation: summing them across groups would report one swap K times.
 /// They still appear per group; the control plane's `control_*` gauges
 /// carry the authoritative shared value.
-const SHARED_FAMILIES: &[&str] = &["serve_model_swaps"];
+pub(crate) const SHARED_FAMILIES: &[&str] = &["serve_model_swaps"];
 
 /// Maps an app id onto its owner group.
 ///
@@ -84,447 +55,6 @@ pub(crate) fn group_index(app: AppId, groups: usize) -> usize {
     (h % groups as u64) as usize
 }
 
-/// Tuning knobs for a shard-group deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardConfig {
-    /// Partition-owning shard groups (K).
-    pub groups: usize,
-    /// Bounded ingest-mailbox capacity per group; beyond it ingest is
-    /// rejected with the group's retry hint.
-    pub mailbox_capacity: usize,
-    /// Per-group serving configuration (inner shards, scorer workers,
-    /// queue capacity, …). Every group gets an identical copy.
-    pub group: ServeConfig,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            groups: 2,
-            mailbox_capacity: 1024,
-            group: ServeConfig::default(),
-        }
-    }
-}
-
-/// Router-level instruments, registered in the router's base registry.
-struct RouterMetrics {
-    ingest_forwarded: Vec<Arc<Counter>>,
-    ingest_rejected: Arc<Counter>,
-    classify_forwarded: Vec<Arc<Counter>>,
-    mailbox_depth: Vec<Arc<Gauge>>,
-    queue_depth: Arc<Gauge>,
-}
-
-impl RouterMetrics {
-    fn new(registry: &Registry, groups: usize) -> Self {
-        registry
-            .gauge("route_groups")
-            .set(groups.min(i64::MAX as usize) as i64);
-        let per_group = |name: &str| -> Vec<Arc<Counter>> {
-            (0..groups)
-                .map(|g| registry.counter_with(name, &[("group", &g.to_string())]))
-                .collect()
-        };
-        RouterMetrics {
-            ingest_forwarded: per_group("route_ingest_forwarded"),
-            ingest_rejected: registry.counter("route_ingest_rejected"),
-            classify_forwarded: per_group("route_classify_forwarded"),
-            mailbox_depth: (0..groups)
-                .map(|g| registry.gauge_with("route_mailbox_depth", &[("group", &g.to_string())]))
-                .collect(),
-            queue_depth: registry.gauge("route_queue_depth"),
-        }
-    }
-}
-
-/// K shard groups behind one hashing front door.
-///
-/// The router exposes the same verbs as [`FrappeService`] — `ingest`
-/// (now fallible: mailboxes are bounded), `classify`,
-/// `classify_traced`, `flag_name`, `swap_model` — and routes each to
-/// the one group that owns the app. Dropping the router closes every
-/// mailbox, drains what was accepted, and joins all group workers.
-pub struct ShardRouter {
-    control: Arc<ControlPlane>,
-    groups: Vec<ShardGroup>,
-    config: ShardConfig,
-    registry: Arc<Registry>,
-    metrics: RouterMetrics,
-    trace: RwLock<Option<TraceCollector>>,
-}
-
-impl ShardRouter {
-    /// Builds a router around a freshly trained model at version 1.
-    ///
-    /// # Panics
-    /// Panics if `config` has zero groups, or a per-group config with
-    /// zero shards, queue capacity, batch size, or mailbox capacity.
-    pub fn new(
-        model: FrappeModel,
-        known: KnownMaliciousNames,
-        shortener: Shortener,
-        config: ShardConfig,
-    ) -> Self {
-        Self::with_shared_model(SharedModel::new(model, 1), known, shortener, config)
-    }
-
-    /// Builds a router that scores through an externally owned
-    /// [`SharedModel`] handle — the lifecycle layer's entry point,
-    /// mirroring [`FrappeService::with_shared_model`].
-    pub fn with_shared_model(
-        model: SharedModel,
-        known: KnownMaliciousNames,
-        shortener: Shortener,
-        config: ShardConfig,
-    ) -> Self {
-        Self::with_control_plane(
-            Arc::new(ControlPlane::with_shared_model(model, known)),
-            shortener,
-            config,
-        )
-    }
-
-    /// Builds a router whose groups replicate an existing control plane.
-    ///
-    /// # Panics
-    /// Panics if `config.groups` is zero (the other knobs are checked by
-    /// the per-group constructors).
-    pub fn with_control_plane(
-        control: Arc<ControlPlane>,
-        shortener: Shortener,
-        config: ShardConfig,
-    ) -> Self {
-        assert!(config.groups > 0, "a router needs at least one group");
-        let groups = (0..config.groups)
-            .map(|index| {
-                let service =
-                    FrappeService::with_control_plane(&control, shortener.clone(), config.group);
-                ShardGroup::new(index, service, config.mailbox_capacity)
-            })
-            .collect();
-        let registry = Arc::new(Registry::new());
-        let metrics = RouterMetrics::new(&registry, config.groups);
-        control.publish(&registry);
-        ShardRouter {
-            control,
-            groups,
-            config,
-            registry,
-            metrics,
-            trace: RwLock::new(None),
-        }
-    }
-
-    /// The configuration this router runs with.
-    pub fn config(&self) -> &ShardConfig {
-        &self.config
-    }
-
-    /// Number of shard groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The group that owns `app`.
-    pub fn group_of(&self, app: AppId) -> usize {
-        group_index(app, self.groups.len())
-    }
-
-    /// The shared control plane (model pointer + known names).
-    pub fn control_plane(&self) -> &Arc<ControlPlane> {
-        &self.control
-    }
-
-    /// Current control version vector.
-    pub fn control_stamp(&self) -> ControlStamp {
-        self.control.stamp()
-    }
-
-    /// Forwards one event into its owner group's bounded mailbox.
-    ///
-    /// Unlike [`FrappeService::ingest`] this is fallible: a full mailbox
-    /// rejects immediately with [`ServeError::Overloaded`] and the
-    /// group's retry hint — the caller owns the retry policy, exactly as
-    /// for classify backpressure.
-    pub fn ingest(&self, event: &ServeEvent) -> Result<(), ServeError> {
-        let _span = frappe_obs::span("route/ingest");
-        let g = self.group_of(event.app());
-        match self.groups[g].ingest(event) {
-            Ok(()) => {
-                self.metrics.ingest_forwarded[g].inc();
-                Ok(())
-            }
-            Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.ingest_rejected.inc();
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// Quiesce barrier: blocks until every event accepted by every
-    /// group's mailbox before this call has been applied to its store.
-    /// Parity-sensitive readers (tests, benches) call this between
-    /// ingest and classify.
-    pub fn flush(&self) {
-        for group in &self.groups {
-            group.flush();
-        }
-    }
-
-    /// Classifies one app, blocking until its owner group answers.
-    pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_traced(app, None, None)?.wait()
-    }
-
-    /// Submits a classification to the owner group without waiting.
-    pub fn classify_nonblocking(&self, app: AppId) -> Result<PendingVerdict, ServeError> {
-        self.classify_traced(app, None, None)
-    }
-
-    /// [`classify_nonblocking`](Self::classify_nonblocking) with
-    /// explicit trace plumbing, mirroring
-    /// [`FrappeService::classify_traced`].
-    ///
-    /// The forwarded request keeps its edge-minted trace across the
-    /// group boundary: the router records `route/forward` (the hand-off
-    /// into the group) and `route/group_score` (open until the group's
-    /// verdict settles), and the group's own `serve/queue` /
-    /// `serve/score` spans nest causally under `route/group_score` — one
-    /// trace tree from socket accept to verdict even though two thread
-    /// domains served it.
-    pub fn classify_traced(
-        &self,
-        app: AppId,
-        edge_trace: Option<(TraceHandle, Option<SpanId>)>,
-        notify: Option<Notify>,
-    ) -> Result<PendingVerdict, ServeError> {
-        let g = self.group_of(app);
-        let (handle, root, owned) = match edge_trace {
-            Some((handle, parent)) => (Some(handle), parent, false),
-            None => match self.trace.read().clone() {
-                Some(collector) => {
-                    let handle = collector.begin("classify");
-                    let root = handle.start_span("route/classify", None);
-                    (Some(handle), Some(root), true)
-                }
-                None => (None, None, false),
-            },
-        };
-        if let Some(h) = &handle {
-            h.event("route", format!("group={g}"));
-        }
-        let forward = handle.as_ref().map(|h| h.start_span("route/forward", root));
-        let group_span = handle
-            .as_ref()
-            .map(|h| h.start_span("route/group_score", root));
-        let submitted = self.groups[g].service().classify_traced(
-            app,
-            handle.clone().map(|h| (h, group_span)),
-            notify,
-        );
-        if let (Some(h), Some(span)) = (&handle, forward) {
-            h.end_span(span);
-        }
-        match submitted {
-            Ok(mut pending) => {
-                self.metrics.classify_forwarded[g].inc();
-                if let Some(h) = handle {
-                    pending.set_route_trace(h, root, owned, group_span);
-                }
-                Ok(pending)
-            }
-            Err(err) => {
-                // The group already flagged Shed429 and recorded the shed
-                // event on the handle; the router just closes its spans.
-                if let Some(h) = &handle {
-                    if let Some(span) = group_span {
-                        h.end_span(span);
-                    }
-                    if owned {
-                        if let Some(span) = root {
-                            h.end_span(span);
-                        }
-                        h.finish(match err {
-                            ServeError::Overloaded { .. } => "overloaded",
-                            _ => "shutting_down",
-                        });
-                    }
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// Current feature row for one app, read from its owner group.
-    pub fn features(&self, app: AppId) -> Option<AppFeatures> {
-        self.groups[self.group_of(app)].service().features(app)
-    }
-
-    /// Adds a name to the shared known-malicious list (observed by every
-    /// group at once). Returns whether the normalized name was new.
-    pub fn flag_name(&self, name: &str) -> bool {
-        self.control.flag_name(name)
-    }
-
-    /// Hot-swaps the scoring model for every group **atomically**: the
-    /// epoch pointer is shared, so there is exactly one swap, observed
-    /// by all groups at the same instant — no group ever serves a mix of
-    /// epochs, and pre-swap cached verdicts die in every group's cache.
-    /// Each group books the swap in its own metrics lane.
-    pub fn swap_model(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
-        let old = self.control.swap_model(model, version);
-        for group in &self.groups {
-            group.service().record_external_swap(version);
-        }
-        old
-    }
-
-    /// The shared model handle the groups score through.
-    pub fn model_handle(&self) -> SharedModel {
-        self.control.model_handle()
-    }
-
-    /// Eagerly drops every cached verdict in every group, returning the
-    /// total eviction count.
-    pub fn clear_verdict_cache(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.service().clear_verdict_cache())
-            .sum()
-    }
-
-    /// Scoring-queue depth summed across groups (mailboxes not
-    /// included; see [`mailbox_depth`](Self::mailbox_depth)).
-    pub fn queue_depth(&self) -> usize {
-        self.groups.iter().map(|g| g.service().queue_depth()).sum()
-    }
-
-    /// Events waiting in group mailboxes, summed.
-    pub fn mailbox_depth(&self) -> usize {
-        self.groups.iter().map(ShardGroup::mailbox_depth).sum()
-    }
-
-    /// Apps tracked by any group, sorted (each app has one owner, so
-    /// this is a disjoint union).
-    pub fn tracked_apps(&self) -> Vec<AppId> {
-        let mut apps: Vec<AppId> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.service().tracked_apps())
-            .collect();
-        apps.sort_unstable();
-        apps
-    }
-
-    /// Point-in-time metrics summed across groups (and refreshing the
-    /// router's depth gauges). Counters and the latency histogram add;
-    /// `model_version` comes from the control plane and `model_swaps`
-    /// is the per-group maximum — every group books each shared swap
-    /// once, so the sum would count one swap K times.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let stamp = self.control.stamp();
-        let mut merged = MetricsSnapshot {
-            events_ingested: 0,
-            queries_served: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_hit_ratio: 0.0,
-            rejected: 0,
-            batches_scored: 0,
-            model_version: stamp.model_version,
-            model_swaps: 0,
-            cache_evictions: 0,
-            queue_depth: 0,
-            latency: LatencySnapshot {
-                bounds_micros: Vec::new(),
-                counts: Vec::new(),
-                total_micros: 0,
-                count: 0,
-            },
-        };
-        for (g, group) in self.groups.iter().enumerate() {
-            let s = group.service().metrics();
-            merged.events_ingested += s.events_ingested;
-            merged.queries_served += s.queries_served;
-            merged.cache_hits += s.cache_hits;
-            merged.cache_misses += s.cache_misses;
-            merged.rejected += s.rejected;
-            merged.batches_scored += s.batches_scored;
-            merged.model_swaps = merged.model_swaps.max(s.model_swaps);
-            merged.cache_evictions += s.cache_evictions;
-            merged.queue_depth += s.queue_depth;
-            if merged.latency.bounds_micros.is_empty() {
-                merged.latency = s.latency;
-            } else {
-                debug_assert_eq!(merged.latency.bounds_micros, s.latency.bounds_micros);
-                for (acc, c) in merged
-                    .latency
-                    .counts
-                    .iter_mut()
-                    .zip(s.latency.counts.iter())
-                {
-                    *acc += c;
-                }
-                merged.latency.total_micros += s.latency.total_micros;
-                merged.latency.count += s.latency.count;
-            }
-            self.metrics.mailbox_depth[g].set(group.mailbox_depth().min(i64::MAX as usize) as i64);
-        }
-        let looked_up = merged.cache_hits + merged.cache_misses;
-        if looked_up > 0 {
-            merged.cache_hit_ratio = merged.cache_hits as f64 / looked_up as f64;
-        }
-        self.metrics
-            .queue_depth
-            .set(merged.queue_depth.min(i64::MAX as usize) as i64);
-        merged
-    }
-
-    /// The router's base registry (`route_*` + `control_*` families).
-    /// Group `serve_*` lanes live in per-group registries; use
-    /// [`exposition`](Self::exposition) for the merged scrape.
-    pub fn obs_registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// One merged Prometheus scrape for the whole deployment: the base
-    /// registry verbatim, every group family re-labelled
-    /// `group="<idx>"`, plus an unlabelled sum per additive family (see
-    /// the module docs for the no-double-count rule).
-    pub fn exposition(&self) -> RegistrySnapshot {
-        let _ = self.metrics(); // refresh depth gauges everywhere
-        self.control.publish(&self.registry);
-        let group_snaps: Vec<RegistrySnapshot> = self
-            .groups
-            .iter()
-            .map(|g| g.service().obs_registry().snapshot())
-            .collect();
-        merge_expositions(self.registry.snapshot(), &group_snaps, SHARED_FAMILIES)
-    }
-
-    /// Attach a trace collector: in-process classifies mint
-    /// `route/classify` traces, and edge-forwarded requests keep their
-    /// own handles (the groups never mint — they only contribute child
-    /// spans). Tracing only observes; verdicts are bit-identical with
-    /// and without it.
-    pub fn set_trace_collector(&self, collector: TraceCollector) {
-        *self.trace.write() = Some(collector);
-    }
-
-    /// The attached trace collector, if any (clones share state).
-    pub fn trace_collector(&self) -> Option<TraceCollector> {
-        self.trace.read().clone()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn group_service_for_test(&self, g: usize) -> &Arc<FrappeService> {
-        self.groups[g].service()
-    }
-}
-
 /// Merges per-group registry snapshots into one exposition.
 ///
 /// * `base` families pass through untouched (router-owned, exactly one
@@ -536,7 +66,7 @@ impl ShardRouter {
 ///   name already exists in `base` (summing into a base family would
 ///   double-count it). Gauges never sum: a level is not additive in
 ///   general, and the shared ones (model version) would multiply by K.
-fn merge_expositions(
+pub(crate) fn merge_expositions(
     base: RegistrySnapshot,
     groups: &[RegistrySnapshot],
     shared: &[&str],
@@ -614,6 +144,7 @@ fn merge_histograms(acc: &mut HistogramSnapshot, next: &HistogramSnapshot) {
 mod tests {
     use super::*;
     use crate::store::shard_index;
+    use frappe_obs::Registry;
 
     #[test]
     fn group_index_is_deterministic_and_in_range() {
@@ -690,7 +221,7 @@ mod tests {
     #[test]
     fn merged_exposition_bytes_are_pinned() {
         let base = Registry::new();
-        base.counter("route_ingest_rejected").add(2);
+        base.counter("lifecycle_promotions").add(2);
         base.gauge("control_model_version").set(3);
 
         let g0 = Registry::new();
@@ -717,8 +248,8 @@ mod tests {
             merged.to_prometheus_text(),
             "# TYPE control_model_version gauge\n\
              control_model_version 3\n\
-             # TYPE route_ingest_rejected counter\n\
-             route_ingest_rejected 2\n\
+             # TYPE lifecycle_promotions counter\n\
+             lifecycle_promotions 2\n\
              # TYPE serve_model_swaps counter\n\
              serve_model_swaps{group=\"0\"} 1\n\
              serve_model_swaps{group=\"1\"} 1\n\

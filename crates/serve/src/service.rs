@@ -1,46 +1,67 @@
-//! The service façade: one struct that owns the store, the cache, the
-//! scorer pool, the known-malicious-names list, and the metrics, and
-//! exposes the two verbs that matter — `ingest(event)` and
-//! `classify(app)`.
+//! The service façade: one struct that owns K partitions of the app-id
+//! space (each a feature store, a verdict cache, a scorer pool and a
+//! metrics registry), the [`ControlPlane`] they share (model epoch
+//! pointer and known-malicious names), and exposes the two verbs that
+//! matter — `ingest(event)` and `classify(app)`.
 //!
 //! ## Concurrency shape
 //!
-//! * **Ingest** is wait-free apart from one shard write lock; it never
-//!   touches the cache (invalidation is by generation stamp, see
-//!   [`crate::cache`]).
+//! * **Ingest** applies the event to its owner partition's store on the
+//!   caller's thread: wait-free apart from one shard write lock, and it
+//!   never touches the cache (invalidation is by generation stamp, see
+//!   [`crate::cache`]). An app has exactly one owner partition, so the
+//!   caller's order is the per-app apply order.
 //! * **Classify** of an app whose verdict is cached is answered on the
 //!   caller's thread (one cache probe, no pool hop). Everything else goes
-//!   through the bounded scoring queue. When the queue is full the call
-//!   is *rejected immediately* with
+//!   through the owner partition's bounded scoring queue. When the queue
+//!   is full the call is *rejected immediately* with
 //!   [`ServeError::Overloaded`] carrying a retry-after hint — the paper's
 //!   "FRAppE as a service" must degrade by shedding queries, not by
 //!   stalling the event stream.
 //! * **Known-name growth** ([`FrappeService::flag_name`]) takes the one
-//!   write lock and bumps the global known-generation, lazily
-//!   invalidating every cached verdict (a new name can flip any app's
-//!   collision bit).
+//!   write lock and bumps the shared known-generation, lazily
+//!   invalidating every cached verdict in every partition (a new name
+//!   can flip any app's collision bit).
+//!
+//! ## Partitions
+//!
+//! [`ServeConfig::groups`] sets K (default 1). At K = 1 the one partition
+//! is the whole service: no hash, no route spans, and
+//! [`FrappeService::obs_registry`] is the partition's own registry. At
+//! K > 1 an app's owner comes from `router::group_index`, classify
+//! traces record the routing decision, and the per-partition registries
+//! merge into one scrape ([`FrappeService::exposition`]). Swaps and name
+//! flags go through the shared control plane, so they stay atomic across
+//! partitions.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
-use frappe_obs::{AuditLog, AuditSource, Registry, SpanId, TraceCollector, TraceFlag, TraceHandle};
+use frappe_obs::{
+    AuditLog, AuditSource, Counter, Gauge, Registry, RegistrySnapshot, SpanId, TraceCollector,
+    TraceFlag, TraceHandle,
+};
 use osn_types::ids::AppId;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use url_services::shortener::Shortener;
 
 use crate::cache::{CacheLookup, VerdictCache};
-use crate::control::ControlPlane;
+use crate::control::{ControlPlane, ControlStamp};
 use crate::event::ServeEvent;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::pool::{ScorerPool, Slot};
+use crate::router::{group_index, merge_expositions, SHARED_FAMILIES};
 use crate::store::{FeatureSnapshot, FeatureStore};
 
 /// Tuning knobs for one service instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
+    /// Partitions of the app-id space (K). Each owns a store, cache,
+    /// scorer pool and registry configured by the knobs below.
+    pub groups: usize,
     /// Feature-store and cache shards (lock granularity).
     pub shards: usize,
     /// Scorer threads.
@@ -56,6 +77,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
+            groups: 1,
             shards: 4,
             workers: 2,
             queue_capacity: 256,
@@ -179,7 +201,6 @@ pub(crate) struct ScoreEngine {
     shortener: Shortener,
     metrics: Metrics,
     audit: RwLock<Option<Arc<AuditLog>>>,
-    trace: RwLock<Option<TraceCollector>>,
 }
 
 impl ScoreEngine {
@@ -378,15 +399,47 @@ enum Reply {
 /// `owned == true` means the service minted it (in-process caller, no
 /// edge) and must finish it at settle time; `false` means an edge handed
 /// its own trace in and will finish it after the response is written.
-/// `group_span` is the router's open `route/group_score` span when the
-/// query was forwarded across a shard-group mailbox — it closes when the
-/// owning group's verdict settles, so the span measures the full
-/// forward-to-verdict residence inside the group.
+/// `group_span` is the open `route/group_score` span of a query routed
+/// to one of several partitions — it closes when the verdict settles, so
+/// the span measures the full forward-to-verdict residence.
 struct PendingTrace {
     handle: TraceHandle,
     root: Option<SpanId>,
     owned: bool,
     group_span: Option<SpanId>,
+}
+
+impl PendingTrace {
+    /// The context the scorer records into, stamped now: serve-side
+    /// spans hang off the group span when routed, else off the root.
+    fn ctx(&self) -> TraceCtx {
+        TraceCtx {
+            handle: self.handle.clone(),
+            parent: self.group_span.or(self.root),
+            submitted_us: self.handle.now_micros(),
+        }
+    }
+
+    /// Books a rejected submit: a shed is always flagged (and so always
+    /// tail-sampled), and a self-minted trace finishes here.
+    fn shed(&self, err: &ServeError) {
+        if matches!(err, ServeError::Overloaded { .. }) {
+            self.handle.flag(TraceFlag::Shed429);
+        }
+        self.handle.event("shed", err.to_string());
+        if let Some(span) = self.group_span {
+            self.handle.end_span(span);
+        }
+        if self.owned {
+            if let Some(root) = self.root {
+                self.handle.end_span(root);
+            }
+            self.handle.finish(match err {
+                ServeError::Overloaded { .. } => "overloaded",
+                _ => "shutting_down",
+            });
+        }
+    }
 }
 
 impl PendingVerdict {
@@ -465,27 +518,6 @@ impl PendingVerdict {
         self.take(true)
             .expect("a blocking take always yields an outcome")
     }
-
-    /// Replaces the trace bookkeeping with the router's view of this
-    /// query: the forwarding [`crate::router::ShardRouter`] owns the
-    /// trace lifecycle (root span, finish-at-settle), while the group
-    /// that scored it only contributed child spans. `group_span` is the
-    /// router's open `route/group_score` span, closed when the verdict
-    /// settles (or the handle is abandoned).
-    pub(crate) fn set_route_trace(
-        &mut self,
-        handle: TraceHandle,
-        root: Option<SpanId>,
-        owned: bool,
-        group_span: Option<SpanId>,
-    ) {
-        self.trace = Some(PendingTrace {
-            handle,
-            root,
-            owned,
-            group_span,
-        });
-    }
 }
 
 impl Drop for PendingVerdict {
@@ -508,14 +540,79 @@ impl Drop for PendingVerdict {
     }
 }
 
-/// The online FRAppE classification service.
-///
-/// Dropping the service shuts the scorer pool down (queue closed, workers
-/// joined); in-flight queries get [`ServeError::ShuttingDown`].
-pub struct FrappeService {
+/// One partition of the app-id space: a private store, verdict cache,
+/// scorer pool and metrics registry. Partitions share nothing but the
+/// control-plane handles their engines score through.
+struct Partition {
     engine: Arc<ScoreEngine>,
     pool: ScorerPool,
+}
+
+impl Partition {
+    fn new(control: &ControlPlane, shortener: Shortener, config: &ServeConfig) -> Self {
+        let engine = Arc::new(ScoreEngine {
+            model: control.model_handle(),
+            store: FeatureStore::new(config.shards),
+            cache: VerdictCache::new(config.shards),
+            known: control.known_names(),
+            shortener,
+            metrics: Metrics::default(),
+            audit: RwLock::new(None),
+        });
+        engine.metrics.set_model_version(engine.model.version());
+        let pool = ScorerPool::new(
+            config.workers,
+            config.queue_capacity,
+            config.batch_size,
+            config.retry_after_ms,
+            Arc::clone(&engine),
+        );
+        Partition { engine, pool }
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.engine.metrics.snapshot(self.pool.queue_depth())
+    }
+}
+
+/// Per-group routing instruments in the base registry; only a service
+/// with more than one partition has them.
+struct RouteMetrics {
+    ingest_forwarded: Vec<Arc<Counter>>,
+    classify_forwarded: Vec<Arc<Counter>>,
+    queue_depth: Arc<Gauge>,
+}
+
+impl RouteMetrics {
+    fn new(registry: &Registry, groups: usize) -> Self {
+        let per_group = |name: &str| -> Vec<Arc<Counter>> {
+            (0..groups)
+                .map(|g| registry.counter_with(name, &[("group", &g.to_string())]))
+                .collect()
+        };
+        RouteMetrics {
+            ingest_forwarded: per_group("route_ingest_forwarded"),
+            classify_forwarded: per_group("route_classify_forwarded"),
+            queue_depth: registry.gauge("route_queue_depth"),
+        }
+    }
+}
+
+/// The online FRAppE classification service.
+///
+/// Dropping the service shuts every scorer pool down (queues closed,
+/// workers joined); in-flight queries get [`ServeError::ShuttingDown`].
+pub struct FrappeService {
+    control: ControlPlane,
+    parts: Vec<Partition>,
     config: ServeConfig,
+    /// The one partition's registry at K = 1; at K > 1 a base registry
+    /// whose scrape [`exposition`](Self::exposition) merges with every
+    /// partition's.
+    registry: Arc<Registry>,
+    /// `None` at K = 1: a single partition routes nothing.
+    route: Option<RouteMetrics>,
+    trace: RwLock<Option<TraceCollector>>,
 }
 
 impl FrappeService {
@@ -526,8 +623,8 @@ impl FrappeService {
     /// links at ingest, exactly as the batch extractor does.
     ///
     /// # Panics
-    /// Panics if `config` has zero shards, queue capacity, or batch size
-    /// (zero workers is allowed; see
+    /// Panics if `config` has zero groups, shards, queue capacity, or
+    /// batch size (zero workers is allowed; see
     /// [`with_shared_model`](Self::with_shared_model)).
     pub fn new(
         model: FrappeModel,
@@ -550,71 +647,44 @@ impl FrappeService {
     /// saturates a one-slot queue this way).
     ///
     /// # Panics
-    /// Panics if `config` has zero shards, queue capacity, or batch size.
+    /// Panics if `config` has zero groups, shards, queue capacity, or
+    /// batch size.
     pub fn with_shared_model(
         model: SharedModel,
         known: KnownMaliciousNames,
         shortener: Shortener,
         config: ServeConfig,
     ) -> Self {
-        Self::with_shared_state(model, SharedKnownNames::new(known), shortener, config)
-    }
-
-    /// Builds a service whose **entire control surface** — the model
-    /// epoch pointer *and* the known-malicious name set — is externally
-    /// owned. This is how a [`ControlPlane`] replicates itself into
-    /// every shard group: each group's service scores through the same
-    /// shared handles, so one swap (or one flagged name) is observed by
-    /// all groups at the same instant and every group's cached verdicts
-    /// die together. [`with_shared_model`](Self::with_shared_model)
-    /// wraps a *private* name set instead, which is only correct for a
-    /// single-instance deployment.
-    pub fn with_control_plane(
-        control: &ControlPlane,
-        shortener: Shortener,
-        config: ServeConfig,
-    ) -> Self {
-        Self::with_shared_state(
-            control.model_handle(),
-            control.known_names(),
-            shortener,
-            config,
-        )
-    }
-
-    fn with_shared_state(
-        model: SharedModel,
-        known: SharedKnownNames,
-        shortener: Shortener,
-        config: ServeConfig,
-    ) -> Self {
+        assert!(config.groups > 0, "a service needs at least one group");
         assert!(config.queue_capacity > 0, "need a non-empty queue");
         assert!(config.batch_size > 0, "batches hold at least one request");
         // Pack the scoring representation now, not on the first verdict:
         // the hot path (`score_inner`) should only ever see a warmed model.
         model.current().model().warm();
-        let engine = Arc::new(ScoreEngine {
-            model,
-            store: FeatureStore::new(config.shards),
-            cache: VerdictCache::new(config.shards),
-            known,
-            shortener,
-            metrics: Metrics::default(),
-            audit: RwLock::new(None),
-            trace: RwLock::new(None),
-        });
-        engine.metrics.set_model_version(engine.model.version());
-        let pool = ScorerPool::new(
-            config.workers,
-            config.queue_capacity,
-            config.batch_size,
-            config.retry_after_ms,
-            Arc::clone(&engine),
-        );
+        // One control plane, every partition scoring through its handles:
+        // a swap or a flagged name reaches all of them at the same instant.
+        let control = ControlPlane::with_shared_model(model, known);
+        let parts: Vec<Partition> = (0..config.groups)
+            .map(|_| Partition::new(&control, shortener.clone(), &config))
+            .collect();
+        let (registry, route) = if config.groups == 1 {
+            (Arc::clone(parts[0].engine.metrics.registry()), None)
+        } else {
+            let registry = Arc::new(Registry::new());
+            let route = RouteMetrics::new(&registry, config.groups);
+            (registry, Some(route))
+        };
+        registry
+            .gauge("route_groups")
+            .set(config.groups.min(i64::MAX as usize) as i64);
+        control.publish(&registry);
         FrappeService {
-            engine,
-            pool,
+            control,
+            parts,
             config,
+            registry,
+            route,
+            trace: RwLock::new(None),
         }
     }
 
@@ -623,11 +693,36 @@ impl FrappeService {
         &self.config
     }
 
-    /// Applies one event to the incremental feature store.
+    /// Number of partitions (K, from [`ServeConfig::groups`]).
+    pub fn group_count(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The partition that owns `app` (always 0 at K = 1).
+    pub fn group_of(&self, app: AppId) -> usize {
+        match self.parts.len() {
+            1 => 0,
+            groups => group_index(app, groups),
+        }
+    }
+
+    /// Current control version vector.
+    pub fn control_stamp(&self) -> ControlStamp {
+        self.control.stamp()
+    }
+
+    /// Applies one event to its owner partition's feature store, on the
+    /// caller's thread. Per-app order is the caller's order: an app has
+    /// exactly one owner partition.
     pub fn ingest(&self, event: &ServeEvent) {
         let _span = frappe_obs::span("serve/ingest");
-        self.engine.store.apply(event, &self.engine.shortener);
-        self.engine.metrics.event_ingested();
+        let g = self.group_of(event.app());
+        let engine = &self.parts[g].engine;
+        engine.store.apply(event, &engine.shortener);
+        engine.metrics.event_ingested();
+        if let Some(route) = &self.route {
+            route.ingest_forwarded[g].inc();
+        }
     }
 
     /// Classifies one app, blocking until a scorer answers.
@@ -659,6 +754,12 @@ impl FrappeService {
     /// mints a `classify` trace of its own and finishes it when the
     /// verdict settles.
     ///
+    /// With more than one partition the trace also records the routing
+    /// decision (a `route` event naming the owner group), a
+    /// `route/forward` span over the hand-off, and a `route/group_score`
+    /// span, open until the verdict settles, that parents the serve-side
+    /// spans.
+    ///
     /// A cached verdict is answered right here, on the caller's thread:
     /// the returned handle is already settled and the pool is never
     /// touched. Everything else queues, and `notify` (if any) fires once
@@ -675,16 +776,20 @@ impl FrappeService {
         notify: Option<Notify>,
     ) -> Result<PendingVerdict, ServeError> {
         let start = Instant::now();
-        let trace = match edge_trace {
+        let g = self.group_of(app);
+        let mut trace = match edge_trace {
             Some((handle, parent)) => Some(PendingTrace {
                 handle,
                 root: parent,
                 owned: false,
                 group_span: None,
             }),
-            None => self.engine.trace.read().clone().map(|collector| {
+            None => self.trace.read().clone().map(|collector| {
                 let handle = collector.begin("classify");
-                let root = handle.start_span("serve/classify", None);
+                let root = match self.route {
+                    Some(_) => handle.start_span("route/classify", None),
+                    None => handle.start_span("serve/classify", None),
+                };
                 PendingTrace {
                     handle,
                     root: Some(root),
@@ -693,107 +798,107 @@ impl FrappeService {
                 }
             }),
         };
-        let ctx = trace.as_ref().map(|t| TraceCtx {
-            handle: t.handle.clone(),
-            parent: t.root,
-            submitted_us: t.handle.now_micros(),
-        });
-        if let Some(hit) = self.engine.cached(app, ctx.as_ref()) {
-            return Ok(PendingVerdict {
-                reply: Reply::Settled(Some(Ok(hit))),
-                engine: Arc::clone(&self.engine),
-                start,
-                trace,
-            });
+        let forward = match (&self.route, &mut trace) {
+            (Some(_), Some(t)) => {
+                t.handle.event("route", format!("group={g}"));
+                let forward = t.handle.start_span("route/forward", t.root);
+                t.group_span = Some(t.handle.start_span("route/group_score", t.root));
+                Some(forward)
+            }
+            _ => None,
+        };
+        let part = &self.parts[g];
+        let ctx = trace.as_ref().map(PendingTrace::ctx);
+        let submitted = match part.engine.cached(app, ctx.as_ref()) {
+            Some(hit) => Ok(Reply::Settled(Some(Ok(hit)))),
+            None => part.pool.submit(app, ctx, notify).map(Reply::Queued),
+        };
+        if let (Some(t), Some(span)) = (&trace, forward) {
+            t.handle.end_span(span);
         }
-        let slot = match self.pool.submit(app, ctx, notify) {
-            Ok(slot) => slot,
+        match submitted {
+            Ok(reply) => {
+                if let Some(route) = &self.route {
+                    route.classify_forwarded[g].inc();
+                }
+                Ok(PendingVerdict {
+                    reply,
+                    engine: Arc::clone(&part.engine),
+                    start,
+                    trace,
+                })
+            }
             Err(err) => {
                 if matches!(err, ServeError::Overloaded { .. }) {
-                    self.engine.metrics.rejected();
+                    part.engine.metrics.rejected();
                 }
                 if let Some(t) = &trace {
-                    if matches!(err, ServeError::Overloaded { .. }) {
-                        t.handle.flag(TraceFlag::Shed429);
-                    }
-                    t.handle.event("shed", err.to_string());
-                    if t.owned {
-                        if let Some(root) = t.root {
-                            t.handle.end_span(root);
-                        }
-                        t.handle.finish(match err {
-                            ServeError::Overloaded { .. } => "overloaded",
-                            _ => "shutting_down",
-                        });
-                    }
+                    t.shed(&err);
                 }
-                return Err(err);
+                Err(err)
             }
-        };
-        Ok(PendingVerdict {
-            reply: Reply::Queued(slot),
-            engine: Arc::clone(&self.engine),
-            start,
-            trace,
-        })
+        }
     }
 
-    /// Requests currently waiting in the scoring queue (not yet picked up
-    /// by a worker). The network edge reads this to decide when to pause
-    /// connection reads; unlike [`metrics`](Self::metrics) it samples one
-    /// channel length and builds nothing.
+    /// Requests currently waiting in the scoring queues (not yet picked
+    /// up by a worker), summed over partitions. The network edge reads
+    /// this to decide when to pause connection reads; unlike
+    /// [`metrics`](Self::metrics) it samples channel lengths and builds
+    /// nothing.
     pub fn queue_depth(&self) -> usize {
-        self.pool.queue_depth()
+        self.parts.iter().map(|p| p.pool.queue_depth()).sum()
     }
 
     /// Adds an app name to the known-malicious collision list (§4.2.1's
     /// online growth: flag an app, catch its look-alikes immediately).
     /// Returns whether the normalized name was new.
     ///
-    /// Bumps the known-generation, so every cached verdict is invalidated
-    /// lazily — a new name can flip any app's collision feature.
+    /// Bumps the shared known-generation, so every cached verdict in
+    /// every partition is invalidated lazily — a new name can flip any
+    /// app's collision feature.
     pub fn flag_name(&self, name: &str) -> bool {
-        self.engine.known.insert(name)
+        self.control.flag_name(name)
     }
 
     /// Hot-swaps the scoring model (a promotion or a rollback), returning
-    /// the displaced `(version, epoch, model)` triple. The epoch bump
-    /// lazily invalidates every cached verdict — in-flight scores finish
-    /// on whichever model they pinned, but their cache entries can never
-    /// satisfy a post-swap lookup. Also republishes the model-version
-    /// gauge and bumps the swap counter.
+    /// the displaced `(version, epoch, model)` triple. The swap is one
+    /// store to the shared epoch pointer, observed by every partition at
+    /// the same instant; the epoch bump lazily invalidates every cached
+    /// verdict — in-flight scores finish on whichever model they pinned,
+    /// but their cache entries can never satisfy a post-swap lookup. Each
+    /// partition republishes its model-version gauge and bumps its swap
+    /// counter.
     pub fn swap_model(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
         // Pack before the pointer flip: the first post-swap verdict must
         // not pay the flatten while a burst is in flight.
         model.warm();
-        let old = self.engine.model.swap(model, version);
-        self.engine.metrics.model_swapped(version);
+        let old = self.control.swap_model(model, version);
+        for part in &self.parts {
+            part.engine.metrics.model_swapped(version);
+        }
         old
-    }
-
-    /// Books a model swap that already happened on the shared epoch
-    /// pointer (a [`ControlPlane`] swap is one pointer store observed by
-    /// every group). Each group records the swap in its own metrics lane
-    /// without touching the pointer again — K groups must report K
-    /// *views* of one swap, not K swaps of the model.
-    pub(crate) fn record_external_swap(&self, version: u64) {
-        self.engine.metrics.model_swapped(version);
     }
 
     /// The shared model handle the service scores through. A lifecycle
     /// registry holds a clone and swaps it; swaps through either handle
     /// are observed identically.
     pub fn model_handle(&self) -> SharedModel {
-        self.engine.model.clone()
+        self.control.model_handle()
     }
 
-    /// Eagerly drops every cached verdict (fresh or stale), returning the
-    /// eviction count. Stale entries normally die lazily by stamp
-    /// mismatch; this reclaims their memory after a model retires.
+    /// Eagerly drops every cached verdict (fresh or stale) in every
+    /// partition, returning the eviction count. Stale entries normally
+    /// die lazily by stamp mismatch; this reclaims their memory after a
+    /// model retires.
     pub fn clear_verdict_cache(&self) -> usize {
-        let dropped = self.engine.cache.clear();
-        self.engine.metrics.cache_evicted(dropped as u64);
-        dropped
+        self.parts
+            .iter()
+            .map(|p| {
+                let dropped = p.engine.cache.clear();
+                p.engine.metrics.cache_evicted(dropped as u64);
+                dropped
+            })
+            .sum()
     }
 
     /// Shared handle to the known-malicious name set the service scores
@@ -802,33 +907,80 @@ impl FrappeService {
     /// flips the collision feature identically on both paths — the
     /// asymmetry `tests/serve_parity.rs` guards against.
     pub fn known_names(&self) -> SharedKnownNames {
-        self.engine.known.clone()
+        self.control.known_names()
     }
 
-    /// Current feature row for one app, bypassing the scorer pool.
-    /// This is the parity-test window into the incremental store.
+    /// Current feature row for one app, read from its owner partition
+    /// and bypassing the scorer pool. This is the parity-test window
+    /// into the incremental store.
     pub fn features(&self, app: AppId) -> Option<AppFeatures> {
-        self.engine
+        let engine = &self.parts[self.group_of(app)].engine;
+        engine
             .known
-            .with(|known, _| self.engine.store.snapshot(app, known))
+            .with(|known, _| engine.store.snapshot(app, known))
             .map(|s| s.features)
     }
 
-    /// Apps the store has evidence for, sorted.
+    /// Apps the service has evidence for, sorted (each app has one owner
+    /// partition, so this is a disjoint union).
     pub fn tracked_apps(&self) -> Vec<AppId> {
-        self.engine.store.tracked_apps()
+        let mut apps: Vec<AppId> = self
+            .parts
+            .iter()
+            .flat_map(|p| p.engine.store.tracked_apps())
+            .collect();
+        apps.sort_unstable();
+        apps
     }
 
-    /// Point-in-time metrics (samples the live queue depth).
+    /// Point-in-time metrics, summed over partitions where additive;
+    /// `model_swaps` is the per-partition maximum, since every partition
+    /// books each shared swap once. Samples the live queue depths.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics.snapshot(self.pool.queue_depth())
+        let mut snapshots = self.parts.iter().map(Partition::metrics);
+        let mut merged = snapshots
+            .next()
+            .expect("a service has at least one partition");
+        for snapshot in snapshots {
+            merged.absorb(&snapshot);
+        }
+        if let Some(route) = &self.route {
+            route
+                .queue_depth
+                .set(merged.queue_depth.min(i64::MAX as usize) as i64);
+        }
+        merged
     }
 
-    /// The instance's metric registry, for Prometheus-text or JSONL
-    /// export. Call [`Self::metrics`] first to refresh the queue-depth
-    /// gauge if you need it current.
+    /// The base registry: where the network edge and the lifecycle layer
+    /// register their own instruments, so one scrape shows the whole
+    /// process. At K = 1 it also holds the `serve_*` families; at K > 1
+    /// those live in per-partition registries and
+    /// [`exposition`](Self::exposition) merges them in. Call
+    /// [`Self::metrics`] first to refresh the queue-depth gauges if you
+    /// read it directly.
     pub fn obs_registry(&self) -> &Arc<Registry> {
-        self.engine.metrics.registry()
+        &self.registry
+    }
+
+    /// The whole service's scrape: the base registry with fresh
+    /// `control_*` gauges and, at K > 1, every partition's families
+    /// merged in `group="<i>"` lanes plus an unlabelled sum per additive
+    /// family. Gauges and `serve_model_swaps` (K views of one shared
+    /// swap) are never summed.
+    pub fn exposition(&self) -> RegistrySnapshot {
+        let _ = self.metrics(); // refresh the queue-depth gauges
+        self.control.publish(&self.registry);
+        let base = self.registry.snapshot();
+        if self.route.is_none() {
+            return base;
+        }
+        let groups: Vec<RegistrySnapshot> = self
+            .parts
+            .iter()
+            .map(|p| p.engine.metrics.registry().snapshot())
+            .collect();
+        merge_expositions(base, &groups, SHARED_FAMILIES)
     }
 
     /// Attach an audit sink: every *freshly scored* verdict (cache misses
@@ -837,12 +989,16 @@ impl FrappeService {
     /// emit nothing — their decision values have no exact per-feature
     /// decomposition.
     pub fn set_audit_log(&self, log: Arc<AuditLog>) {
-        *self.engine.audit.write() = Some(log);
+        for part in &self.parts {
+            *part.engine.audit.write() = Some(Arc::clone(&log));
+        }
     }
 
     /// Detach the audit sink, returning it if one was attached.
     pub fn take_audit_log(&self) -> Option<Arc<AuditLog>> {
-        self.engine.audit.write().take()
+        self.parts
+            .iter()
+            .fold(None, |log, part| log.or(part.engine.audit.write().take()))
     }
 
     /// Attach a trace collector: every in-process
@@ -853,22 +1009,22 @@ impl FrappeService {
     /// unaffected). Tracing only observes — verdicts are bit-identical
     /// with and without a collector attached.
     pub fn set_trace_collector(&self, collector: TraceCollector) {
-        *self.engine.trace.write() = Some(collector);
+        *self.trace.write() = Some(collector);
     }
 
     /// The attached trace collector, if any (clones share state).
     pub fn trace_collector(&self) -> Option<TraceCollector> {
-        self.engine.trace.read().clone()
+        self.trace.read().clone()
     }
 
     /// Detach the trace collector, returning it if one was attached.
     pub fn take_trace_collector(&self) -> Option<TraceCollector> {
-        self.engine.trace.write().take()
+        self.trace.write().take()
     }
 
     #[cfg(test)]
     pub(crate) fn engine_for_test(&self) -> Arc<ScoreEngine> {
-        Arc::clone(&self.engine)
+        Arc::clone(&self.parts[0].engine)
     }
 }
 
@@ -937,6 +1093,7 @@ mod tests {
             KnownMaliciousNames::from_names(["profile viewer"]),
             Shortener::bitly(),
             ServeConfig {
+                groups: 1,
                 shards: 2,
                 workers: 2,
                 queue_capacity: 8,
@@ -1161,6 +1318,7 @@ mod tests {
             KnownMaliciousNames::default(),
             Shortener::bitly(),
             ServeConfig {
+                groups: 1,
                 shards: 1,
                 workers: 0,
                 queue_capacity: 1,
@@ -1243,6 +1401,7 @@ mod tests {
             KnownMaliciousNames::default(),
             Shortener::bitly(),
             ServeConfig {
+                groups: 1,
                 shards: 1,
                 workers: 0, // stalled: the request stays queued
                 queue_capacity: 1,
@@ -1366,6 +1525,7 @@ mod tests {
             KnownMaliciousNames::default(),
             Shortener::bitly(),
             ServeConfig {
+                groups: 1,
                 shards: 1,
                 workers: 0, // stalled pool: the second submit must shed
                 queue_capacity: 1,

@@ -230,19 +230,19 @@ fn batch_row(world: &RandomWorld, script: &AppScript) -> AppFeatures {
     }
 }
 
-/// Ingests every script, apps partitioned round-robin across threads.
-/// Per-app event order is preserved (one thread owns one app); the
-/// cross-app interleaving is whatever the scheduler does — parity must
-/// hold regardless.
-fn ingest_concurrently(world: &RandomWorld, store: &FeatureStore) {
+/// Ingests every script through `apply`, apps partitioned round-robin
+/// across threads. Per-app event order is preserved (one thread owns one
+/// app); the cross-app interleaving is whatever the scheduler does —
+/// parity must hold regardless.
+fn ingest_concurrently(world: &RandomWorld, apply: impl Fn(&ServeEvent) + Sync) {
     std::thread::scope(|scope| {
         for t in 0..INGEST_THREADS {
-            let store = &store;
+            let apply = &apply;
             let world = &world;
             scope.spawn(move || {
                 for script in world.scripts.iter().skip(t).step_by(INGEST_THREADS) {
                     for event in &script.events {
-                        store.apply(event, &world.shortener);
+                        apply(event);
                     }
                 }
             });
@@ -275,7 +275,9 @@ fn random_streams_are_parity_exact_for_every_set_and_shard_count() {
 
         for shards in SHARD_COUNTS {
             let store = FeatureStore::new(shards);
-            ingest_concurrently(&world, &store);
+            ingest_concurrently(&world, |event| {
+                store.apply(event, &world.shortener);
+            });
 
             for (script, batch_row) in world.scripts.iter().zip(&batch) {
                 let online = store
@@ -304,41 +306,15 @@ fn random_streams_are_parity_exact_for_every_set_and_shard_count() {
     }
 }
 
-/// Ingests every script through a router's bounded mailboxes, apps
-/// round-robin across threads (per-app order preserved: one thread per
-/// app, one owner group, FIFO mailbox, one consumer), then flushes all
-/// groups so classify observes everything.
-fn ingest_routed_concurrently(world: &RandomWorld, router: &frappe_serve::ShardRouter) {
-    std::thread::scope(|scope| {
-        for t in 0..INGEST_THREADS {
-            let router = &router;
-            let world = &world;
-            scope.spawn(move || {
-                for script in world.scripts.iter().skip(t).step_by(INGEST_THREADS) {
-                    for event in &script.events {
-                        // The mailboxes are sized to hold the whole
-                        // stream; spin on the (unexpected) reject so a
-                        // shed can never masquerade as a parity bug.
-                        while router.ingest(event).is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            });
-        }
-    });
-    router.flush();
-}
-
-/// The tentpole invariant: partitioning the serving stack into K
-/// thread-isolated shard groups is *pure topology* — for every group
+/// The partition invariant: splitting the serving stack into K
+/// partitions (`ServeConfig::groups`) is *pure topology* — for every group
 /// count, every app's verdict is bit-for-bit what the single-group
 /// deployment produces (decision value compared as raw f64 bits), and a
 /// hot swap + rollback through the shared control plane leaves every
 /// group on the same epoch with no stale verdict surviving anywhere.
 #[test]
 fn verdicts_are_bit_identical_for_every_group_count() {
-    use frappe_serve::{ServeConfig, ShardConfig, ShardRouter};
+    use frappe_serve::{FrappeService, ServeConfig};
 
     // A second deterministic model for the swap leg: trained on rows
     // from an unrelated seeded world with a narrower feature set, so v2
@@ -355,24 +331,23 @@ fn verdicts_are_bit_identical_for_every_group_count() {
         let mut reference: Option<Vec<(AppId, u64, bool, u64, u64)>> = None;
 
         for groups in GROUP_COUNTS {
-            let router = ShardRouter::new(
+            let service = FrappeService::new(
                 tiny_model(),
                 world.known.clone(),
                 world.shortener.clone(),
-                ShardConfig {
+                ServeConfig {
                     groups,
-                    mailbox_capacity: 4096,
-                    group: ServeConfig::default(),
+                    ..ServeConfig::default()
                 },
             );
-            ingest_routed_concurrently(&world, &router);
+            ingest_concurrently(&world, |event| service.ingest(event));
 
             let observed: Vec<(AppId, u64, bool, u64, u64)> = world
                 .scripts
                 .iter()
                 .filter(|s| !s.events.is_empty())
                 .map(|s| {
-                    let v = router.classify(s.app).expect("tracked app");
+                    let v = service.classify(s.app).expect("tracked app");
                     (
                         s.app,
                         v.decision_value.to_bits(),
@@ -393,10 +368,10 @@ fn verdicts_are_bit_identical_for_every_group_count() {
             // Promote: one shared pointer swap reaches every group at
             // once — no classify anywhere may answer with the old
             // version (a stale cached verdict would carry version 1).
-            let displaced = router.swap_model(std::sync::Arc::new(other_model()), 2);
+            let displaced = service.swap_model(std::sync::Arc::new(other_model()), 2);
             assert_eq!(displaced.version(), 1);
             for s in world.scripts.iter().filter(|s| !s.events.is_empty()) {
-                let v = router.classify(s.app).expect("tracked app");
+                let v = service.classify(s.app).expect("tracked app");
                 assert_eq!(
                     v.model_version, 2,
                     "{groups} groups: stale post-swap verdict for {:?}",
@@ -407,7 +382,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
             // Roll back to the original weights: decisions must return
             // bit-exactly to the pre-swap reference (same model ⇒ same
             // bits), at the rollback version — v2 verdicts die too.
-            let displaced = router.swap_model(std::sync::Arc::new(tiny_model()), 3);
+            let displaced = service.swap_model(std::sync::Arc::new(tiny_model()), 3);
             assert_eq!(displaced.version(), 2);
             for (s, (_, bits, malicious, _, _)) in world
                 .scripts
@@ -415,7 +390,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
                 .filter(|s| !s.events.is_empty())
                 .zip(reference.as_ref().unwrap())
             {
-                let v = router.classify(s.app).expect("tracked app");
+                let v = service.classify(s.app).expect("tracked app");
                 assert_eq!(v.model_version, 3);
                 assert_eq!(v.malicious, *malicious);
                 assert_eq!(
@@ -433,7 +408,9 @@ fn verdicts_are_bit_identical_for_every_group_count() {
 fn empty_scripts_yield_no_snapshot() {
     let world = random_world(7, 16);
     let store = FeatureStore::new(4);
-    ingest_concurrently(&world, &store);
+    ingest_concurrently(&world, |event| {
+        store.apply(event, &world.shortener);
+    });
     for script in &world.scripts {
         let snap = store.snapshot(script.app, &world.known);
         assert_eq!(

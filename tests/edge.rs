@@ -10,7 +10,11 @@
 //! * a lifecycle hot-swap (promote, then rollback) fenced by the edge's
 //!   drain protocol loses **zero** responses under mid-load traffic, and
 //!   every response body is one of the known-good per-version strings —
-//!   nothing stale, nothing garbled.
+//!   nothing stale, nothing garbled;
+//! * the same world served at one and at three partitions answers every
+//!   classify with identical body bytes;
+//! * a hostile, deeply nested ingest body is a `400`, and the edge stays
+//!   up.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,8 +29,9 @@ use frappe_lifecycle::{
     PromotionOutcome,
 };
 use frappe_net::{NetConfig, Server};
-use frappe_serve::{FrappeService, ServeConfig, ServeEvent};
+use frappe_serve::{serve_events, FrappeService, ServeConfig, ServeEvent};
 use osn_types::ids::AppId;
+use synth_workload::{run_scenario, ScenarioConfig};
 use url_services::shortener::Shortener;
 
 // ---------------------------------------------------------------- fixtures
@@ -430,12 +435,94 @@ fn no_request_pipelined_after_connection_close_is_served() {
     );
 }
 
+/// The same world behind a one-group and a three-group service: every
+/// tracked app's socket verdict is byte-identical across the two shapes
+/// and equal to the in-process verdict.
+#[test]
+fn verdict_bytes_are_identical_at_one_and_three_groups() {
+    let world = run_scenario(&ScenarioConfig::small());
+    let known = KnownMaliciousNames::from_names(
+        world
+            .truth
+            .malicious
+            .iter()
+            .filter_map(|&a| world.platform.app(a))
+            .map(|r| r.name().to_string()),
+    );
+    let events = serve_events(&world);
+    let deploy = |groups: usize| {
+        let service = Arc::new(FrappeService::new(
+            tiny_model(),
+            known.clone(),
+            world.shortener.clone(),
+            ServeConfig {
+                groups,
+                ..ServeConfig::default()
+            },
+        ));
+        for event in &events {
+            service.ingest(event);
+        }
+        let server =
+            Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
+        (service, server)
+    };
+    let (single, single_edge) = deploy(1);
+    let (grouped, grouped_edge) = deploy(3);
+    let apps = single.tracked_apps();
+    assert!(!apps.is_empty());
+    assert_eq!(grouped.tracked_apps(), apps, "same apps on both shapes");
+    let used: std::collections::BTreeSet<usize> =
+        apps.iter().map(|&a| grouped.group_of(a)).collect();
+    assert_eq!(used.len(), 3, "the world spans every group");
+
+    let mut one = Client::connect(single_edge.local_addr());
+    let mut three = Client::connect(grouped_edge.local_addr());
+    for &app in &apps {
+        let path = format!("/v1/classify/{}", app.raw());
+        let (a, b) = (one.get(&path), three.get(&path));
+        assert_eq!((a.status, b.status), (200, 200), "{app:?}");
+        assert_eq!(
+            a.body, b.body,
+            "{app:?}: verdict bytes differ across shapes"
+        );
+        let in_process = serde_json::to_string(&single.classify(app).unwrap()).unwrap();
+        assert_eq!(a.body_str(), in_process, "{app:?}: socket vs in-process");
+    }
+}
+
+/// A body of nothing but `[` once overflowed the parser's stack and
+/// aborted the whole process; now it is a 400, and the edge keeps
+/// serving.
+#[test]
+fn deeply_nested_ingest_body_is_a_400_and_the_edge_stays_up() {
+    let service = Arc::new(service_with(ServeConfig::default()));
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut hostile = Client::connect(server.local_addr());
+    let response = hostile.request("POST", "/v1/events", &"[".repeat(200_000));
+    assert_eq!(response.status, 400);
+    assert!(
+        response
+            .body_str()
+            .starts_with(r#"{"error":"line 1: nesting deeper than 128"#),
+        "{}",
+        response.body_str()
+    );
+    assert_eq!(service.metrics().events_ingested, 0);
+
+    let mut fresh = Client::connect(server.local_addr());
+    let health = fresh.get("/healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body_str(), r#"{"status":"ok"}"#);
+}
+
 #[test]
 fn saturated_scorer_pool_answers_429_with_retry_after() {
     // workers = 0 is a deliberately stalled pool: the single queue slot
     // fills on the first classify and never drains, so the second
     // classify is rejected deterministically.
     let service = Arc::new(service_with(ServeConfig {
+        groups: 1,
         shards: 1,
         workers: 0,
         queue_capacity: 1,

@@ -1,8 +1,8 @@
-//! Shard-group lifecycle: fenced swaps and shared control state across
-//! K partition-owning groups.
+//! Partitioned-service lifecycle: fenced swaps and shared control state
+//! across K partitions (`ServeConfig::groups`).
 //!
-//! Two scenarios pin the tentpole invariants of the shared-nothing
-//! refactor at the lifecycle layer:
+//! Two scenarios pin the shared-control invariants at the lifecycle
+//! layer:
 //!
 //! * a **fenced promotion and rollback land on every group at once**,
 //!   under concurrent classify load — no hammer thread ever observes a
@@ -11,7 +11,7 @@
 //!   whole deployment's lifecycle counters surface in one merged scrape;
 //! * a **mid-stream known-names flip** reaches every group exactly like
 //!   it reaches a single service: verdicts stay bit-identical between a
-//!   one-service deployment and a K-group router before the flip, right
+//!   one-group service and a K-group service before the flip, right
 //!   after it (warm caches invalidated everywhere), and over the rest of
 //!   the stream.
 //!
@@ -29,9 +29,7 @@ use frappe_lifecycle::{
     DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate,
     PromotionOutcome, SwapFence,
 };
-use frappe_serve::{
-    serve_events, FeatureStore, FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter,
-};
+use frappe_serve::{serve_events, FeatureStore, FrappeService, ServeConfig, ServeEvent};
 use osn_types::ids::AppId;
 use synth_workload::scenario::ScenarioWorld;
 use synth_workload::{run_scenario, ScenarioConfig};
@@ -47,11 +45,10 @@ fn shard_groups() -> usize {
     }
 }
 
-fn shard_config() -> ShardConfig {
-    ShardConfig {
+fn shard_config() -> ServeConfig {
+    ServeConfig {
         groups: shard_groups(),
-        mailbox_capacity: 4096,
-        group: ServeConfig::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -87,20 +84,11 @@ fn labelled_rows(
     (samples, labels)
 }
 
-/// Forwards one event into the router, retrying while its owner group's
-/// mailbox is full (the reject-with-retry-after contract; tests spin
-/// rather than sleep the hint).
-fn ingest_routed(router: &ShardRouter, event: &ServeEvent) {
-    while router.ingest(event).is_err() {
-        std::thread::yield_now();
-    }
-}
-
 /// A [`SwapFence`] that drains every group's scoring queue before
 /// letting the swap run — the in-process analogue of the network edge's
 /// drain/resume protocol — and counts how often it ran.
 struct DrainFence {
-    router: Arc<ShardRouter>,
+    service: Arc<FrappeService>,
     entered: AtomicU64,
 }
 
@@ -111,7 +99,7 @@ impl SwapFence for DrainFence {
         // be simultaneously empty, and the fence contract requires the
         // swap to run regardless.
         let deadline = Instant::now() + Duration::from_secs(1);
-        while self.router.queue_depth() > 0 && Instant::now() < deadline {
+        while self.service.queue_depth() > 0 && Instant::now() < deadline {
             std::thread::yield_now();
         }
         swap();
@@ -133,26 +121,25 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
     let candidate = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
 
     let registry = ModelRegistry::new(incumbent, ModelSource::default());
-    let router = Arc::new(ShardRouter::with_shared_model(
+    let service = Arc::new(FrappeService::with_shared_model(
         registry.handle(),
         known,
         world.shortener.clone(),
         shard_config(),
     ));
     for event in serve_events(&world) {
-        ingest_routed(&router, &event);
+        service.ingest(&event);
     }
-    router.flush();
     let groups_hit: std::collections::BTreeSet<usize> =
-        apps.iter().map(|&a| router.group_of(a)).collect();
+        apps.iter().map(|&a| service.group_of(a)).collect();
     assert_eq!(
         groups_hit.len(),
-        router.group_count().min(apps.len()),
+        service.group_count().min(apps.len()),
         "the world's apps must exercise every group"
     );
 
     let manager = LifecycleManager::new(
-        Arc::clone(&router),
+        Arc::clone(&service),
         registry,
         // The gate is not under test — let the shadow through.
         PromotionGate {
@@ -164,7 +151,7 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
         DriftDetector::new(DriftConfig::default()),
     );
     let fence = Arc::new(DrainFence {
-        router: Arc::clone(&router),
+        service: Arc::clone(&service),
         entered: AtomicU64::new(0),
     });
     manager.set_swap_fence(Arc::clone(&fence) as Arc<dyn SwapFence>);
@@ -187,7 +174,7 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..3)
             .map(|t| {
-                let router = &router;
+                let service = &service;
                 let apps = &apps;
                 let stop = &stop;
                 s.spawn(move || {
@@ -196,7 +183,7 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
                     while !stop.load(Ordering::Relaxed) {
                         let app = apps[i % apps.len()];
                         i += 7;
-                        match router.classify(app) {
+                        match service.classify(app) {
                             Ok(v) => versions.push(v.model_version),
                             Err(_) => std::thread::yield_now(),
                         }
@@ -228,12 +215,12 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
     // Settled: every app, whatever its owner group, serves the candidate
     // bit-exactly.
     for &app in &apps {
-        let verdict = router.classify(app).expect("tracked app");
+        let verdict = service.classify(app).expect("tracked app");
         assert_eq!(verdict.model_version, 2);
         assert_eq!(
             verdict.decision_value.to_bits(),
             candidate
-                .decision_value(&router.features(app).expect("tracked"))
+                .decision_value(&service.features(app).expect("tracked"))
                 .to_bits(),
             "post-swap verdicts come from the candidate"
         );
@@ -241,27 +228,27 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
 
     // Rollback runs through the same fence; v1 serves again at a fresh
     // epoch, so nothing cached under v2 survives in any group.
-    let epoch_before = router.control_stamp().model_epoch;
+    let epoch_before = service.control_stamp().model_epoch;
     assert_eq!(manager.rollback().expect("history has v1"), 1);
     assert_eq!(fence.entered.load(Ordering::SeqCst), 2, "rollback fenced");
-    let stamp = router.control_stamp();
+    let stamp = service.control_stamp();
     assert_eq!(stamp.model_version, 1);
     assert_eq!(stamp.model_epoch, epoch_before + 1);
     for &app in &apps {
-        assert_eq!(router.classify(app).expect("tracked").model_version, 1);
+        assert_eq!(service.classify(app).expect("tracked").model_version, 1);
     }
 
     // Merged metrics: each group booked the two shared swaps once (max,
-    // not sum), and the lifecycle counters — which live on the router's
+    // not sum), and the lifecycle counters — which live on the service's
     // base registry — surface in the one merged scrape.
-    let merged = router.metrics();
+    let merged = service.metrics();
     assert_eq!(merged.model_swaps, 2);
     assert_eq!(merged.model_version, 1);
-    let text = router.exposition().to_prometheus_text();
+    let text = service.exposition().to_prometheus_text();
     assert!(text.contains("lifecycle_promotions 1"), "scrape: {text}");
     assert!(text.contains("lifecycle_rollbacks 1"));
     assert!(text.contains("control_model_version 1"));
-    assert!(text.contains(&format!("route_groups {}", router.group_count())));
+    assert!(text.contains(&format!("route_groups {}", service.group_count())));
 }
 
 #[test]
@@ -278,7 +265,7 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
         world.shortener.clone(),
         ServeConfig::default(),
     );
-    let router = ShardRouter::new(
+    let grouped = FrappeService::new(
         model,
         KnownMaliciousNames::default(),
         world.shortener.clone(),
@@ -289,16 +276,15 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
     let (first, second) = events.split_at(events.len() / 2);
     for event in first {
         single.ingest(event);
-        ingest_routed(&router, event);
+        grouped.ingest(event);
     }
-    router.flush();
 
     let parity = |phase: &str| {
-        let tracked = router.tracked_apps();
+        let tracked = grouped.tracked_apps();
         assert_eq!(tracked, single.tracked_apps(), "{phase}: same ownership");
         for app in tracked {
             let a = single.classify(app).expect("tracked on the service");
-            let b = router.classify(app).expect("tracked on the router");
+            let b = grouped.classify(app).expect("tracked on the grouped");
             assert_eq!(
                 (
                     a.decision_value.to_bits(),
@@ -320,18 +306,24 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
 
     // Flag a tracked app's own name on both deployments: its collision
     // feature must flip, in whichever group owns it.
-    let victim = router.tracked_apps()[0];
+    let victim = grouped.tracked_apps()[0];
     let flagged = world
         .platform
         .app(victim)
         .expect("tracked apps exist in the platform")
         .name()
         .to_string();
-    assert!(single.flag_name(&flagged), "fresh name on the service");
-    assert!(router.flag_name(&flagged), "fresh name on the shared plane");
-    assert_eq!(router.control_stamp().known_generation, 1);
     assert!(
-        router
+        single.flag_name(&flagged),
+        "fresh name on the one-group service"
+    );
+    assert!(
+        grouped.flag_name(&flagged),
+        "fresh name on the shared plane"
+    );
+    assert_eq!(grouped.control_stamp().known_generation, 1);
+    assert!(
+        grouped
             .features(victim)
             .expect("tracked")
             .aggregation
@@ -344,8 +336,7 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
     // through it.
     for event in second {
         single.ingest(event);
-        ingest_routed(&router, event);
+        grouped.ingest(event);
     }
-    router.flush();
     parity("post-flip, stream complete");
 }

@@ -28,7 +28,7 @@ use frappe_lifecycle::{
 };
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{CompletedTrace, TraceCollector, TraceConfig, TraceFlag};
-use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
+use frappe_serve::{FrappeService, ServeConfig, ServeEvent};
 use osn_types::ids::AppId;
 use url_services::shortener::Shortener;
 
@@ -212,6 +212,7 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
         KnownMaliciousNames::from_names(["profile viewer"]),
         Shortener::bitly(),
         ServeConfig {
+            groups: 1,
             shards: 1,
             workers: 0,
             queue_capacity: 1,
@@ -444,77 +445,43 @@ fn tracing_on_and_off_serve_bit_identical_verdict_bytes() {
     assert_eq!(body, r#"{"error":"tracing disabled"}"#);
 }
 
-/// Feeds the same fixture traffic through a router's mailboxes (the
-/// sharded analogue of [`feed_app`]), then flushes so classify sees it.
-fn feed_app_routed(router: &ShardRouter, app: AppId, shady: bool, posts: usize) {
-    let name = if shady {
-        "Profile Viewer".to_string()
-    } else {
-        format!("wholesome game {}", app.raw())
-    };
-    router
-        .ingest(&ServeEvent::Registered { app, name })
-        .expect("mailbox has room");
-    let (benign, malicious) = prototypes();
-    let features = if shady {
-        malicious.on_demand
-    } else {
-        benign.on_demand
-    };
-    router
-        .ingest(&ServeEvent::OnDemand { app, features })
-        .expect("mailbox has room");
-    for _ in 0..posts {
-        let link = if shady {
-            Some(osn_types::url::Url::parse("http://scam.example/x").unwrap())
-        } else {
-            Some(osn_types::url::Url::parse("http://fine.example/y").unwrap())
-        };
-        router
-            .ingest(&ServeEvent::Post { app, link })
-            .expect("mailbox has room");
-    }
-}
-
-/// The shard-group continuity story, end to end over real sockets: a
-/// request forwarded across a group mailbox keeps its edge-minted trace
-/// (route spans parent the owning group's serve spans in one tree), and
-/// a fenced promote over K groups still tail-samples whatever straddled
+/// The partition continuity story, end to end over real sockets: a
+/// request routed to its owner group keeps its edge-minted trace (route
+/// spans parent the owning group's serve spans in one tree), and a
+/// fenced promote over K groups still tail-samples whatever straddled
 /// it — with every group already serving the new model version by the
 /// time the promote returns.
 #[test]
 fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
     let registry = ModelRegistry::new(tiny_model(), ModelSource::default());
-    let router = Arc::new(ShardRouter::with_shared_model(
+    let service = Arc::new(FrappeService::with_shared_model(
         registry.handle(),
         KnownMaliciousNames::from_names(["profile viewer"]),
         Shortener::bitly(),
-        ShardConfig {
+        ServeConfig {
             groups: 3,
-            mailbox_capacity: 64,
-            group: ServeConfig::default(),
+            ..ServeConfig::default()
         },
     ));
     let apps: Vec<AppId> = (1..=6).map(AppId).collect();
     for (i, &app) in apps.iter().enumerate() {
-        feed_app_routed(&router, app, i % 2 == 0, 1 + i % 3);
+        feed_app(&service, app, i % 2 == 0, 1 + i % 3);
     }
-    router.flush();
     assert!(
         apps.iter()
-            .map(|&a| router.group_of(a))
+            .map(|&a| service.group_of(a))
             .collect::<std::collections::BTreeSet<_>>()
             .len()
             > 1,
         "the fixture must actually span multiple groups"
     );
     let collector = tail_only_collector();
-    router.set_trace_collector(collector.clone());
-    let server = Server::bind(Arc::clone(&router), "127.0.0.1:0", NetConfig::default()).unwrap();
+    service.set_trace_collector(collector.clone());
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let manager = LifecycleManager::new(
-        Arc::clone(&router),
+        Arc::clone(&service),
         registry,
         PromotionGate {
             min_scored: 1,
@@ -570,7 +537,7 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
     // The swap was globally atomic: every group immediately serves the
     // promoted version (one shared epoch pointer, fresh caches).
     for &app in &apps {
-        assert_eq!(router.classify(app).unwrap().model_version, version);
+        assert_eq!(service.classify(app).unwrap().model_version, version);
     }
 
     let trace = found.expect("bounded retry loop either found one or panicked");
@@ -582,7 +549,7 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
         "the trace records the promote it straddled: {:?}",
         trace.events
     );
-    // The router recorded which group owned the request…
+    // The service recorded which group owned the request…
     assert!(
         trace
             .events
@@ -591,8 +558,8 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
         "the routing decision is on the trace: {:?}",
         trace.events
     );
-    // …and the trace tree crosses the mailbox hop unbroken: the edge
-    // root parents the router's spans, which parent the group's spans.
+    // …and the trace tree is unbroken across the route: the edge root
+    // parents the route spans, which parent the group's spans.
     let root = trace.span("edge/request").unwrap().id;
     let forward = trace.span("route/forward").expect("forward span recorded");
     let group_score = trace
