@@ -20,10 +20,14 @@ echo "==> cargo test -q -p frappe-serve --test catalog_parity (shard sweep 1/4/1
 # with its own banner.
 cargo test -q -p frappe-serve --test catalog_parity
 
-echo "==> vendored serde_json stand-in tests (JSON parsing on the edge's hot path)"
+echo "==> vendored stand-in tests (serde_json, crossbeam, parking_lot)"
 # vendor/ is excluded from the workspace, so its tests need their own
-# run; the stand-in parses every NDJSON line the edge reads.
-CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml
+# run. serde_json parses every NDJSON line the edge reads; crossbeam
+# carries frappe-jobs' fan-in channel; parking_lot guards every
+# frappe-serve store and cache shard.
+for stand_in in serde_json crossbeam parking_lot; do
+    CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path "vendor/$stand_in/Cargo.toml"
+done
 
 echo "==> cargo build -p frappe-obs --no-default-features (instrumentation off)"
 cargo build -p frappe-obs --no-default-features
@@ -87,17 +91,18 @@ cargo test -q -p frappe-gauntlet --no-default-features
 FRAPPE_JOBS=1 cargo test -q -p frappe-gauntlet --test gauntlet
 FRAPPE_JOBS=8 cargo test -q -p frappe-gauntlet --test gauntlet
 
-echo "==> network edge suite (epoll reactor, HTTP routes, 429 shed, fenced hot swap)"
+echo "==> network edge suite (epoll reactor, HTTP routes, scoring-panic isolation, fenced hot swap)"
 # Real sockets on an ephemeral loopback port: byte-identical verdicts
-# vs in-process classify, the deterministic 429 + Retry-After contract,
-# and a promote/rollback under concurrent socket load fenced by the
-# drain protocol (zero drops, zero stale bodies).
+# vs in-process classify, a scoring panic answered 500 with the edge
+# still up, and a promote/rollback under concurrent socket load fenced
+# by the drain protocol (zero drops, zero stale bodies).
 cargo test -q -p frappe-net --test edge
 
 echo "==> end-to-end trace suite (socket accept to verdict, shed/swap tail sampling)"
-# A 429-shed request and a request in flight across a fenced promote are
-# ALWAYS tail-sampled, with causally ordered spans from socket accept to
-# response write; tracing on vs off leaves verdict bytes bit-identical.
+# An accept-gate 503 shed and a request in flight across a fenced
+# promote are ALWAYS tail-sampled, the latter with causally ordered
+# spans from socket accept to response write; tracing on vs off leaves
+# verdict bytes bit-identical.
 cargo test -q -p frappe-net --test trace
 
 echo "==> training bench, quick mode (serial vs parallel, BENCH_training.json)"
@@ -118,8 +123,8 @@ cargo run --release -p frappe-bench --bin repro -- --small --scoring-bench-out B
 echo "==> gauntlet bench, quick mode (adversarial scenarios, BENCH_gauntlet.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --gauntlet-bench-out BENCH_gauntlet.json
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

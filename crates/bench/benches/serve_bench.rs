@@ -29,7 +29,6 @@ fn build_rig(lab: &Lab, model: &FrappeModel, events: &[ServeEvent], shards: usiz
         lab.world.shortener.clone(),
         ServeConfig {
             shards,
-            workers: 4,
             ..ServeConfig::default()
         },
     ));

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p frappe-bench --bin loadgen -- \
-//!     [--shards N] [--workers N] [--query-threads N] [--queries N] [--paper-scale] \
+//!     [--shards N] [--query-threads N] [--queries N] [--paper-scale] \
 //!     [--linear] [--profile] [--metrics-out PATH] [--trace-out PATH] \
 //!     [--swap-every N] [--shard-groups K] [--connect ADDR|self] [--rate N] [--seed N] \
 //!     [--scoring-backend exact|simd|rff]
@@ -21,8 +21,8 @@
 //! dispatched.
 //!
 //! `--shard-groups K` sets `ServeConfig::groups`: the service splits the
-//! app-id space across K partitions, each with its own store, cache and
-//! scorer pool — in both in-process and `--connect self` modes. The exit
+//! app-id space across K partitions, each with its own store and cache —
+//! in both in-process and `--connect self` modes. The exit
 //! metrics are then the merged scrape with per-group lanes, and
 //! `--swap-every` exercises the shared control plane's globally atomic
 //! hot swap.
@@ -59,14 +59,13 @@ use frappe_bench::edgebench::{quantile_us, EdgeClient};
 use frappe_bench::lab::{Archive, Lab};
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{AuditLog, TraceCollector, TraceConfig};
-use frappe_serve::{serve_events, FrappeService, ServeConfig, ServeError, ServeEvent};
+use frappe_serve::{serve_events, FrappeService, ServeConfig, ServeEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use svm::{Kernel, SvmParams};
 
 struct Options {
     shards: usize,
-    workers: usize,
     query_threads: usize,
     queries: usize,
     paper_scale: bool,
@@ -84,7 +83,6 @@ struct Options {
 fn parse_options() -> Options {
     let mut opts = Options {
         shards: 4,
-        workers: 2,
         query_threads: 4,
         queries: 20_000,
         paper_scale: false,
@@ -111,7 +109,6 @@ fn parse_options() -> Options {
         };
         match arg.as_str() {
             "--shards" => opts.shards = numeric("--shards"),
-            "--workers" => opts.workers = numeric("--workers"),
             "--query-threads" => opts.query_threads = numeric("--query-threads"),
             "--queries" => opts.queries = numeric("--queries"),
             "--swap-every" => opts.swap_every = Some(numeric("--swap-every")),
@@ -161,7 +158,7 @@ fn parse_options() -> Options {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: loadgen [--shards N] [--workers N] [--query-threads N] \
+                    "usage: loadgen [--shards N] [--query-threads N] \
                      [--queries N] [--paper-scale] [--linear] [--profile] \
                      [--metrics-out PATH] [--trace-out PATH] [--swap-every N] \
                      [--shard-groups K] [--connect ADDR|self] [--rate N] [--seed N] \
@@ -179,7 +176,6 @@ fn serve_config(opts: &Options) -> ServeConfig {
     ServeConfig {
         groups: opts.shard_groups.unwrap_or(1),
         shards: opts.shards,
-        workers: opts.workers,
         ..ServeConfig::default()
     }
 }
@@ -418,9 +414,8 @@ fn main() {
         return;
     }
     println!(
-        "loadgen: shards={} workers={} query-threads={} queries={} scenario={} kernel={} groups={} scoring={}",
+        "loadgen: shards={} query-threads={} queries={} scenario={} kernel={} groups={} scoring={}",
         opts.shards,
-        opts.workers,
         opts.query_threads,
         opts.queries,
         if opts.paper_scale { "paper" } else { "small" },
@@ -495,7 +490,6 @@ fn main() {
 
     let issued = Arc::new(AtomicUsize::new(0));
     let flagged = Arc::new(AtomicU64::new(0));
-    let retries = Arc::new(AtomicU64::new(0));
     let swap_version = Arc::new(AtomicU64::new(1));
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -504,7 +498,6 @@ fn main() {
             let apps = Arc::clone(&apps);
             let issued = Arc::clone(&issued);
             let flagged = Arc::clone(&flagged);
-            let retries = Arc::clone(&retries);
             let swap_models = swap_models.clone();
             let swap_version = Arc::clone(&swap_version);
             scope.spawn(move || loop {
@@ -521,21 +514,12 @@ fn main() {
                     }
                 }
                 let app = apps[i % apps.len()];
-                loop {
-                    match service.classify(app) {
-                        Ok(verdict) => {
-                            if verdict.malicious {
-                                flagged.fetch_add(1, Ordering::Relaxed);
-                            }
-                            break;
-                        }
-                        Err(ServeError::Overloaded { retry_after_ms }) => {
-                            // honour the service's backpressure contract
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(Duration::from_millis(retry_after_ms));
-                        }
-                        Err(err) => panic!("query failed: {err}"),
+                match service.classify(app) {
+                    Ok(verdict) if verdict.malicious => {
+                        flagged.fetch_add(1, Ordering::Relaxed);
                     }
+                    Ok(_) => {}
+                    Err(err) => panic!("query failed: {err}"),
                 }
             });
         }
@@ -550,11 +534,7 @@ fn main() {
         "\ndone: {} queries in {:.2?} ({qps:.0} q/s) against {:.0} events/s concurrent ingest",
         opts.queries, elapsed, eps
     );
-    println!(
-        "verdicts: {} malicious, {} retries after backpressure",
-        flagged.load(Ordering::Relaxed),
-        retries.load(Ordering::Relaxed)
-    );
+    println!("verdicts: {} malicious", flagged.load(Ordering::Relaxed));
     if opts.swap_every.is_some() {
         let m = service.metrics();
         println!(

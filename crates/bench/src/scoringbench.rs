@@ -159,100 +159,131 @@ fn time_path(queries: &[Vec<f64>], batch: usize, reps: usize, mut f: impl FnMut(
 /// counts to CI size; batch sizes stay at the acceptance trio {1, 64,
 /// 4096} in both modes so the cells are comparable.
 pub fn run(quick: bool) -> ScoringBenchReport {
-    let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (train_n, target_queries) = if quick {
         (400, 20_000)
     } else {
         (3000, 100_000)
     };
-    let dim = 7;
+    let fixture = Fixture::new(train_n);
+    let mut report = fixture.checked_report(quick);
+    fixture.time_into(&mut report, target_queries);
+    report
+}
 
-    let data = synth_overlapping(train_n, dim, 42);
-    let params = SvmParams::with_kernel(Kernel::rbf_default_gamma(dim));
-    let model = train(&data, &params);
-    let rff = RffModel::from_model(&model, DEFAULT_FEATURES, 0xF4A9_9E0F)
-        .expect("benchmark model is RBF");
-    model.warm();
-    rff.warm();
+/// The benchmarked RBF model, its random-Fourier twin, and the query
+/// pool both are scored on.
+struct Fixture {
+    model: SvmModel,
+    rff: RffModel,
+    queries: Vec<Vec<f64>>,
+}
 
-    // Query pool disjoint from the training draw, drawn at the class
-    // centres with the training noise band but without the overlap
-    // offset shrink — production-shaped traffic where most apps are
-    // decisively benign or decisively malicious. The timing is
-    // distribution-independent (every path does the same work per
-    // query); the agreement rate is measured on this pool, which is the
-    // regime the ≥ 99.5% promotion floor is defined over. On the
-    // deliberately ambiguous training distribution itself agreement
-    // drops (≈ 94% here) — verdicts near the boundary flip under the
-    // O(1/√D) approximation error, which is exactly why the exact model
-    // stays attached as the shadow reference.
-    let pool = crate::trainbench::synth_dataset(4096, 7701);
-    let queries: Vec<Vec<f64>> = pool.features().to_vec();
+impl Fixture {
+    /// Trains the model on `train_n` overlapping rows (d = 7) and draws
+    /// the query pool.
+    fn new(train_n: usize) -> Fixture {
+        let dim = 7;
+        let data = synth_overlapping(train_n, dim, 42);
+        let params = SvmParams::with_kernel(Kernel::rbf_default_gamma(dim));
+        let model = train(&data, &params);
+        let rff = RffModel::from_model(&model, DEFAULT_FEATURES, 0xF4A9_9E0F)
+            .expect("benchmark model is RBF");
+        model.warm();
+        rff.warm();
 
-    let fallback = Dispatch::scalar_deterministic();
-    let best = Dispatch::best(MathMode::Deterministic);
-
-    let fallback_bit_identical = queries.iter().all(|q| {
-        model.decision_value_with(fallback, q).to_bits()
-            == model.decision_value_with(best, q).to_bits()
-    });
-    let rff_agreement = rff.verdict_agreement(&model, &queries);
-
-    let mut points = Vec::new();
-    let mut cell = |path: &str, engine: String, batch: usize, ns: f64| {
-        points.push(ScoringBenchPoint {
-            path: path.to_string(),
-            engine,
-            batch,
-            ns_per_query: ns,
-            queries_per_sec: 1e9 / ns.max(1e-9),
-        });
-    };
-
-    let mut legacy_at_max = f64::NAN;
-    let mut simd_at_max = f64::NAN;
-    let batches = [1usize, 64, 4096];
-    for &batch in &batches {
-        let reps = (target_queries / batch).max(1);
-        let ns = time_path(&queries, batch, reps, |q| {
-            std::hint::black_box(legacy_decision_value(&model, q));
-        });
-        cell("scalar-legacy", "scalar-naive/libm".to_string(), batch, ns);
-        if batch == batches[batches.len() - 1] {
-            legacy_at_max = ns;
+        // Query pool disjoint from the training draw, drawn at the class
+        // centres with the training noise band but without the overlap
+        // offset shrink — production-shaped traffic where most apps are
+        // decisively benign or decisively malicious. The timing is
+        // distribution-independent (every path does the same work per
+        // query); the agreement rate is measured on this pool, which is the
+        // regime the ≥ 99.5% promotion floor is defined over. On the
+        // deliberately ambiguous training distribution itself agreement
+        // drops (≈ 94% here) — verdicts near the boundary flip under the
+        // O(1/√D) approximation error, which is exactly why the exact model
+        // stays attached as the shadow reference.
+        let pool = crate::trainbench::synth_dataset(4096, 7701);
+        let queries: Vec<Vec<f64>> = pool.features().to_vec();
+        Fixture {
+            model,
+            rff,
+            queries,
         }
-
-        let ns = time_path(&queries, batch, reps, |q| {
-            std::hint::black_box(model.decision_value_with(fallback, q));
-        });
-        cell("fallback", fallback.describe().to_string(), batch, ns);
-
-        let ns = time_path(&queries, batch, reps, |q| {
-            std::hint::black_box(model.decision_value_with(best, q));
-        });
-        cell("simd", best.describe().to_string(), batch, ns);
-        if batch == batches[batches.len() - 1] {
-            simd_at_max = ns;
-        }
-
-        let ns = time_path(&queries, batch, reps, |q| {
-            std::hint::black_box(rff.decision_value_with(best, q));
-        });
-        cell("rff", best.describe().to_string(), batch, ns);
     }
 
-    ScoringBenchReport {
-        detected_isa: simd::detected_isa().to_string(),
-        lane_width: simd::LANES,
-        threads_available,
-        quick,
-        support_vectors: model.support_vector_count(),
-        dim,
-        rff_features: DEFAULT_FEATURES,
-        rff_agreement,
-        simd_vs_legacy_speedup: legacy_at_max / simd_at_max.max(1e-9),
-        fallback_bit_identical,
-        points,
+    /// The report's untimed half: host disclosure, the fallback/SIMD
+    /// bit-identity verdict over the whole pool, and the RFF agreement.
+    /// It carries no timing cells yet.
+    fn checked_report(&self, quick: bool) -> ScoringBenchReport {
+        let fallback = Dispatch::scalar_deterministic();
+        let best = Dispatch::best(MathMode::Deterministic);
+        let fallback_bit_identical = self.queries.iter().all(|q| {
+            self.model.decision_value_with(fallback, q).to_bits()
+                == self.model.decision_value_with(best, q).to_bits()
+        });
+        ScoringBenchReport {
+            detected_isa: simd::detected_isa().to_string(),
+            lane_width: simd::LANES,
+            threads_available: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            quick,
+            support_vectors: self.model.support_vector_count(),
+            dim: self.model.support_vectors().first().map_or(0, Vec::len),
+            rff_features: DEFAULT_FEATURES,
+            rff_agreement: self.rff.verdict_agreement(&self.model, &self.queries),
+            simd_vs_legacy_speedup: 0.0,
+            fallback_bit_identical,
+            points: Vec::new(),
+        }
+    }
+
+    /// Times every (path, batch) cell, about `target_queries` scores per
+    /// cell, and fills in the cells and the headline speedup.
+    fn time_into(&self, report: &mut ScoringBenchReport, target_queries: usize) {
+        let (model, rff, queries) = (&self.model, &self.rff, &self.queries);
+        let fallback = Dispatch::scalar_deterministic();
+        let best = Dispatch::best(MathMode::Deterministic);
+        let mut cell = |path: &str, engine: String, batch: usize, ns: f64| {
+            report.points.push(ScoringBenchPoint {
+                path: path.to_string(),
+                engine,
+                batch,
+                ns_per_query: ns,
+                queries_per_sec: 1e9 / ns.max(1e-9),
+            });
+        };
+
+        let mut legacy_at_max = f64::NAN;
+        let mut simd_at_max = f64::NAN;
+        let batches = [1usize, 64, 4096];
+        for &batch in &batches {
+            let reps = (target_queries / batch).max(1);
+            let ns = time_path(queries, batch, reps, |q| {
+                std::hint::black_box(legacy_decision_value(model, q));
+            });
+            cell("scalar-legacy", "scalar-naive/libm".to_string(), batch, ns);
+            if batch == batches[batches.len() - 1] {
+                legacy_at_max = ns;
+            }
+
+            let ns = time_path(queries, batch, reps, |q| {
+                std::hint::black_box(model.decision_value_with(fallback, q));
+            });
+            cell("fallback", fallback.describe().to_string(), batch, ns);
+
+            let ns = time_path(queries, batch, reps, |q| {
+                std::hint::black_box(model.decision_value_with(best, q));
+            });
+            cell("simd", best.describe().to_string(), batch, ns);
+            if batch == batches[batches.len() - 1] {
+                simd_at_max = ns;
+            }
+
+            let ns = time_path(queries, batch, reps, |q| {
+                std::hint::black_box(rff.decision_value_with(best, q));
+            });
+            cell("rff", best.describe().to_string(), batch, ns);
+        }
+        report.simd_vs_legacy_speedup = legacy_at_max / simd_at_max.max(1e-9);
     }
 }
 
@@ -291,22 +322,27 @@ impl ScoringBenchReport {
 mod tests {
     use super::*;
 
+    /// Every correctness claim the quick report makes, on the quick-mode
+    /// problem, without a timing loop: timing a debug build measures
+    /// nothing, so the timed cells run only in release
+    /// (`repro --scoring-bench-out`).
     #[test]
     fn quick_bench_runs_and_discloses_its_isa() {
-        let report = run(true);
+        let report = Fixture::new(400).checked_report(true);
         assert!(report.detected_isa == "avx2+fma" || report.detected_isa == "scalar-only");
         assert_eq!(report.lane_width, svm::simd::LANES);
+        assert_eq!(report.dim, 7);
+        assert!(report.support_vectors > 0);
         assert!(report.fallback_bit_identical);
         assert!(
             report.rff_agreement >= 0.995,
             "rff agreement {}",
             report.rff_agreement
         );
-        assert_eq!(report.points.len(), 12);
-        assert!(report.points.iter().all(|p| p.ns_per_query > 0.0));
+        assert!(report.points.is_empty(), "nothing was timed");
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: ScoringBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.points.len(), report.points.len());
+        assert_eq!(back.rff_agreement, report.rff_agreement);
         assert!(!report.render().is_empty());
     }
 

@@ -6,15 +6,18 @@
 //! and classify throughput with p50/p99 latency, each measured at
 //! partition counts {1, 2, 4, 8} (`ServeConfig::groups`) over the same
 //! world, the same model, and the same per-partition configuration — so
-//! the only variable is K. A final leg hammers classify across repeated hot swaps on the
-//! largest deployment and counts **stale-epoch verdicts** (a model
-//! version observed going backwards on any thread); the tentpole
+//! the only variable is K. Every timed classify is a verdict-cache miss
+//! (the cache is cleared, untimed, before each sweep), so the curve
+//! measures partition scoring — store snapshot plus model evaluation —
+//! not cache probes. A final leg hammers classify across repeated hot
+//! swaps on the largest deployment and counts **stale-epoch verdicts**
+//! (a model version observed going backwards on any thread); the
 //! invariant is that the count is zero.
 //!
 //! Honesty note: the scaling curve is whatever *this machine* delivers —
-//! a box with fewer cores than `groups x workers` flattens early, which
-//! is why `threads_available` and `parallel_mode` ride along in the
-//! report (same convention as the other BENCH files).
+//! a box with fewer cores than hammer threads flattens early, which is
+//! why `threads_available` and `parallel_mode` ride along in the report
+//! (same convention as the other BENCH files).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,8 +46,12 @@ pub struct GroupRunBench {
     pub ingest_wall_ms: f64,
     /// `ingest_events / ingest_wall`.
     pub ingest_events_per_s: f64,
-    /// Blocking classify calls issued across all hammer threads.
+    /// Classify calls timed across all hammer threads.
     pub classify_queries: usize,
+    /// Timed classifies answered from the verdict cache; zero by
+    /// construction (each sweep follows a cache clear and classifies
+    /// every app once), reported so the miss-only claim is checked.
+    pub classify_cache_hits: u64,
     /// Hammer threads issuing them.
     pub classify_threads: usize,
     /// Wall-clock of the classify sweep, milliseconds.
@@ -145,40 +152,42 @@ pub fn run(quick: bool) -> ShardBenchReport {
         }
         let ingest_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // Classify: hammer threads walk the tracked apps with coprime
-        // strides, so every group's scorer lane stays busy. One warm-up
-        // sweep first — the curve compares scorer lanes, not cold caches.
+        // Classify: timed sweeps in which the hammer threads split the
+        // tracked apps between them and classify each exactly once. The
+        // verdict cache is cleared, untimed, before every sweep, so every
+        // timed classify scores fresh.
         let apps = service.tracked_apps();
-        for &app in &apps {
-            service.classify(app).expect("tracked app");
-        }
-        let per_thread = queries_per_k.div_ceil(hammer_threads);
-        let t = Instant::now();
-        let mut latencies: Vec<u64> = Vec::with_capacity(hammer_threads * per_thread);
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (0..hammer_threads)
-                .map(|tid| {
-                    let service = &service;
-                    let apps = &apps;
-                    s.spawn(move || {
-                        let mut lat = Vec::with_capacity(per_thread);
-                        let mut i = tid;
-                        for _ in 0..per_thread {
-                            let app = apps[i % apps.len()];
-                            i += 7;
-                            let t = Instant::now();
-                            service.classify(app).expect("tracked app");
-                            lat.push(t.elapsed().as_micros() as u64);
-                        }
-                        lat
+        let sweeps = queries_per_k.div_ceil(apps.len());
+        let hits_before = service.metrics().cache_hits;
+        let mut latencies: Vec<u64> = Vec::with_capacity(sweeps * apps.len());
+        let mut classify_wall = Duration::ZERO;
+        for _ in 0..sweeps {
+            service.clear_verdict_cache();
+            let t = Instant::now();
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..hammer_threads)
+                    .map(|tid| {
+                        let service = &service;
+                        let apps = &apps;
+                        s.spawn(move || {
+                            let mine = apps.iter().skip(tid).step_by(hammer_threads);
+                            mine.map(|&app| {
+                                let t = Instant::now();
+                                service.classify(app).expect("tracked app");
+                                t.elapsed().as_micros() as u64
+                            })
+                            .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            for worker in workers {
-                latencies.extend(worker.join().expect("hammer thread"));
-            }
-        });
-        let classify_wall_ms = t.elapsed().as_secs_f64() * 1e3;
+                    .collect();
+                for worker in workers {
+                    latencies.extend(worker.join().expect("hammer thread"));
+                }
+            });
+            classify_wall += t.elapsed();
+        }
+        let classify_cache_hits = service.metrics().cache_hits - hits_before;
+        let classify_wall_ms = classify_wall.as_secs_f64() * 1e3;
         latencies.sort_unstable();
 
         let classify_per_s = latencies.len() as f64 / (classify_wall_ms / 1e3).max(1e-9);
@@ -189,6 +198,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
             ingest_wall_ms,
             ingest_events_per_s: events.len() as f64 / (ingest_wall_ms / 1e3).max(1e-9),
             classify_queries: latencies.len(),
+            classify_cache_hits,
             classify_threads: hammer_threads,
             classify_wall_ms,
             classify_per_s,
@@ -295,6 +305,10 @@ mod tests {
             assert_eq!(run.groups, groups);
             assert!(run.ingest_events > 0);
             assert!(run.classify_queries > 0);
+            assert_eq!(
+                run.classify_cache_hits, 0,
+                "K={groups}: a timed classify hit"
+            );
             assert!(run.classify_p50_us <= run.classify_p99_us);
         }
         assert!(report.swap_under_load.verdicts_observed > 0);

@@ -1,53 +1,35 @@
-//! Per-connection state: socket, parser, outbound buffer, edge-trigger
-//! memos, and the request phase.
+//! Per-connection state: socket, parser, outbound buffer, and the
+//! edge-trigger memos.
 //!
 //! A connection is a small state machine the event loop drives:
 //!
 //! ```text
-//!            bytes in           complete request        verdict ready
-//!   readable ────────► parser ──────────────────► Scoring ──────────►
-//!      ▲                  │  (immediate routes)      │        response
-//!      │                  └──────────────────────────┴──────► out buf
-//!      └── paused while the scorer queue is saturated          │
-//!                                                    writable ─┴─► socket
+//!            bytes in           complete request           response
+//!   readable ────────► parser ──────────────────► route ─────────► out buf
+//!                                                 (a classify is       │
+//!                                                  scored here, on     │
+//!                                                  the loop thread)    │
+//!                                                         writable ────┴─► socket
 //! ```
+//!
+//! No request outlives the pass that parsed it: every route, classify
+//! included, answers before the next request is parsed, so the only
+//! thing a connection carries between passes is unflushed output.
 //!
 //! The `readable`/`writable` fields are the edge-trigger memos the
 //! reactor module's docs demand: `EPOLLET` reports a readiness
 //! *transition* once, so the loop records it here and keeps acting until
-//! `WouldBlock` clears the memo. Pausing a read under backpressure is
-//! then free — the memo stays set, and the loop simply returns to the
-//! socket once the scorer queue drains.
+//! `WouldBlock` clears the memo. The pipelining guard and the drain
+//! protocol can then defer a read for free — the memo stays set, and the
+//! loop returns to the socket on a later pass.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use frappe_obs::{SpanId, TraceHandle};
-use frappe_serve::PendingVerdict;
 
 use crate::http::{Limits, RequestParser};
-
-/// Where the connection is in its request cycle.
-pub(crate) enum Phase {
-    /// No request in flight; the parser may produce the next one.
-    Idle,
-    /// A classify request is queued on the scorer pool (a cache hit never
-    /// gets here: it is answered as it is submitted). The scorer fires
-    /// the loop's waker when the verdict is ready, and the loop polls the
-    /// handle on every pass. `keep_alive` is the parsed request's.
-    Scoring {
-        /// The pollable verdict handle.
-        pending: PendingVerdict,
-        /// Whether to keep the connection after answering.
-        keep_alive: bool,
-        /// When the request finished parsing (feeds the latency histogram).
-        started: Instant,
-        /// The request's trace (handle + root span); handed back to the
-        /// loop with the verdict so the response write is traced too.
-        trace: Option<(TraceHandle, SpanId)>,
-    },
-}
 
 /// A response whose bytes are enqueued but not yet flushed, with the
 /// trace waiting on that flush. `target` is the connection's cumulative
@@ -74,14 +56,11 @@ pub(crate) struct Conn {
     pub(crate) readable: bool,
     /// Edge-trigger memo: the socket can accept writes.
     pub(crate) writable: bool,
-    /// Reads deferred while the scorer queue is saturated.
-    pub(crate) paused: bool,
     /// Close once `out` is flushed; serve nothing more.
     pub(crate) closing: bool,
     /// The peer sent EOF: nothing more to read, but complete requests
     /// buffered before it are still served.
     pub(crate) eof: bool,
-    pub(crate) phase: Phase,
     /// When the socket was accepted — the first traced request records
     /// the accept→parse gap as a retroactive `edge/accept` span.
     pub(crate) accepted_at: Instant,
@@ -115,10 +94,8 @@ impl Conn {
             // registering with EPOLLET reports no initial edge for it.
             readable: false,
             writable: true,
-            paused: false,
             closing: false,
             eof: false,
-            phase: Phase::Idle,
             accepted_at: Instant::now(),
             accept_traced: false,
             enqueued_total: 0,
@@ -157,23 +134,6 @@ impl Conn {
     /// A response (or several) is waiting to be flushed.
     pub(crate) fn has_pending_output(&self) -> bool {
         self.out_pos < self.out.len()
-    }
-
-    /// The connection may start its next request: nothing in flight, not
-    /// read-paused, not closing.
-    pub(crate) fn can_serve(&self) -> bool {
-        !self.closing && !self.paused && matches!(self.phase, Phase::Idle)
-    }
-
-    /// A request is being scored right now.
-    pub(crate) fn in_flight(&self) -> bool {
-        matches!(self.phase, Phase::Scoring { .. })
-    }
-
-    /// Drained for the purposes of the edge's drain protocol: nothing in
-    /// flight and nothing left to flush.
-    pub(crate) fn is_quiesced(&self) -> bool {
-        !self.in_flight() && !self.has_pending_output()
     }
 
     /// Reads until `WouldBlock` (re-arming the edge), pushing bytes into

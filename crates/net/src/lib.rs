@@ -13,15 +13,15 @@
 //!   `OwnedFd`, errors become `io::Error`, and no unsafety escapes.
 //! * [`reactor`] — edge-triggered readiness multiplexing with a
 //!   cross-thread [`reactor::Waker`]; connections keep readiness *memos*
-//!   so backpressure can defer work without losing kernel edges.
+//!   so the loop can defer work without losing kernel edges.
 //! * [`http`] — an incremental HTTP/1.1 parser (request line, headers,
 //!   `Content-Length` bodies, keep-alive, pipelining) with hard byte
 //!   limits, plus the response writer.
 //! * [`server`] — the single-threaded event loop: nonblocking accept
 //!   with a bounded-connection gate, per-connection state machines that
-//!   ride the scorer pool via [`frappe_serve::PendingVerdict`] (the loop
-//!   never parks on a verdict), 429-triggered read pauses with
-//!   hysteresis, and a drain protocol whose [`server::EdgeHandle`]
+//!   answer every classify in the pass that parsed it (the verdict is
+//!   scored on the loop thread, about a microsecond), a per-wake
+//!   pipelining guard, and a drain protocol whose [`server::EdgeHandle`]
 //!   implements [`frappe_lifecycle::SwapFence`] so model hot-swaps run
 //!   with zero responses in flight.
 //!
@@ -29,8 +29,9 @@
 //! error is the [`frappe_serve::ErrorEnvelope`], whose exact bytes are
 //! pinned by a `frappe-serve` unit test. `tests/edge.rs` (repo root)
 //! drives real sockets end to end: byte-identical verdicts against
-//! in-process classification, deterministic 429s off a saturated scorer
-//! queue, and a mid-load hot-swap with zero dropped or stale responses.
+//! in-process classification, the accept gate's `503`, a scoring panic
+//! that costs one `500` and not the edge, and a mid-load hot-swap with
+//! zero dropped or stale responses.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -39,8 +39,7 @@ pub struct Readiness {
 /// Wakes a [`Reactor`] blocked in [`Reactor::poll`] from another thread.
 ///
 /// Cloneable and cheap; used by `Server::drain`/`resume`/shutdown to nudge
-/// the event loop into observing a state change, and by scorer threads to
-/// announce a completed verdict.
+/// the event loop into observing a state change.
 #[derive(Clone)]
 pub struct Waker {
     wake: Arc<EventFd>,

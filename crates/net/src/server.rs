@@ -14,44 +14,43 @@
 //! | `/healthz` | GET | — | `200 {"status":"ok"}` |
 //!
 //! Every error a classify can produce travels as the shared
-//! [`ErrorEnvelope`]: `UnknownApp → 404`, `Overloaded → 429` with a
-//! `Retry-After` header (whole seconds, rounded up from the envelope's
-//! exact millisecond hint), `ShuttingDown → 503`.
+//! [`ErrorEnvelope`]: `UnknownApp → 404`, `Internal → 500` (scoring
+//! panicked; the connection stays up), `ShuttingDown → 503`.
 //!
-//! ## Backpressure, in three rings
+//! ## Scoring on the loop thread
+//!
+//! A classify is answered while its request is being served, in the same
+//! pass: [`FrappeService::classify_traced`] probes the verdict cache and,
+//! on a miss, snapshots the features and evaluates the model right here.
+//! That is about a microsecond, well under the loop's own per-request
+//! parse and write work, so no thread hand-off could pay for itself, and
+//! no request is ever left waiting for a verdict between passes.
+//!
+//! ## Backpressure, in two rings
 //!
 //! 1. **Accept gate** — beyond [`NetConfig::max_connections`] live
 //!    connections, new ones get a best-effort `503` + `Retry-After` and
-//!    are closed immediately.
-//! 2. **Read pause** — a connection whose classify is rejected with
-//!    [`ServeError::Overloaded`] got its `429` *and* stops being read:
-//!    its buffered pipeline waits and TCP pushes back on the client.
-//!    Reads resume once the scorer queue falls to half capacity
-//!    (hysteresis, so the edge does not flap).
-//! 3. **Pipelining guard** — at most
+//!    the [`ServeError::Overloaded`] envelope, and are closed
+//!    immediately.
+//! 2. **Pipelining guard** — at most
 //!    [`NetConfig::max_requests_per_wake`] buffered requests are served
 //!    per connection per wake-up, so one pipelining client cannot starve
 //!    the rest of the loop. Complete requests the guard leaves buffered
 //!    get no fd edge of their own, so the loop's next poll does not
 //!    block and they are served on the next pass.
 //!
-//! ## Waking on verdicts
-//!
-//! A classify whose verdict is cached is answered while its request is
-//! being served, in the same pass. A miss queues on the scorer pool with
-//! the loop's [`Waker`] as its completion hook: the scorer fills the
-//! verdict, then wakes the loop, which is blocked in `epoll_wait` with no
-//! timeout. The only timed poll is the 1 ms tick that re-checks the
-//! scorer queue while a connection is 429-paused.
+//! Past both, a busy loop simply reads later: unread bytes fill the
+//! socket buffers and TCP flow control pushes back on the client.
 //!
 //! ## Drain protocol
 //!
 //! [`EdgeHandle::drain`] asks the loop to stop accepting and stop
-//! *starting* requests, while in-flight scores finish and responses
-//! flush; it blocks until the loop reports every connection quiesced
-//! (phase idle, output flushed) and returns the drain latency.
-//! Connections stay open throughout — after [`EdgeHandle::resume`],
-//! buffered requests pick up where they left off. [`EdgeHandle`]
+//! *starting* requests, while answered responses flush; it blocks until
+//! the loop reports every connection quiesced (output flushed) and
+//! returns the drain latency. A request is scored within the pass that
+//! parsed it, so once the loop has seen the drain no verdict is in
+//! flight. Connections stay open throughout — after
+//! [`EdgeHandle::resume`], buffered requests pick up where they left off. [`EdgeHandle`]
 //! implements [`SwapFence`], so installing it on a
 //! [`frappe_lifecycle::LifecycleManager`] wraps every model promotion
 //! and rollback in exactly this drain/swap/resume cycle — the "zero
@@ -71,12 +70,10 @@ use frappe_obs::{
     TraceFlag, TraceHandle, WallClock,
 };
 use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
-use frappe_serve::{
-    ErrorEnvelope, FrappeService, Notify, PendingVerdict, ServeError, ServeEvent, Verdict,
-};
+use frappe_serve::{ErrorEnvelope, FrappeService, ServeError, ServeEvent, Verdict};
 use osn_types::ids::AppId;
 
-use crate::conn::{Conn, IoStep, PendingWrite, Phase};
+use crate::conn::{Conn, IoStep, PendingWrite};
 use crate::http::{Limits, Method, Request, Response};
 use crate::reactor::{Reactor, Readiness, Waker};
 
@@ -93,7 +90,7 @@ pub struct NetConfig {
     pub max_head_bytes: usize,
     /// Per-request body budget (`413` beyond).
     pub max_body_bytes: usize,
-    /// Buffered requests served per connection per wake-up (ring 3).
+    /// Buffered requests served per connection per wake-up (ring 2).
     pub max_requests_per_wake: usize,
 }
 
@@ -149,47 +146,25 @@ struct NetMetrics {
     active: Arc<Gauge>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
-    read_stalls: Arc<Counter>,
     requests: Arc<Counter>,
-    responses_429: Arc<Counter>,
-    /// Submit-time 429s attributed to the partition that shed them
-    /// (a distinct family from `net_http_429`, which stays the
-    /// service-wide total — same name plus labels would double-count in
-    /// a merged scrape). One lane per partition.
-    responses_429_by_group: Vec<Arc<Counter>>,
     request_latency: Arc<Histogram>,
     drains: Arc<Counter>,
     drain_micros: Arc<Histogram>,
 }
 
 impl NetMetrics {
-    fn new(registry: &frappe_obs::Registry, group_count: usize) -> NetMetrics {
+    fn new(registry: &frappe_obs::Registry) -> NetMetrics {
         NetMetrics {
             accepted: registry.counter("net_conns_accepted"),
             rejected: registry.counter("net_conns_rejected"),
             active: registry.gauge("net_conns_active"),
             bytes_read: registry.counter("net_bytes_read"),
             bytes_written: registry.counter("net_bytes_written"),
-            read_stalls: registry.counter("net_read_stalls"),
             requests: registry.counter("net_http_requests"),
-            responses_429: registry.counter("net_http_429"),
-            responses_429_by_group: (0..group_count)
-                .map(|g| {
-                    registry.counter_with("net_http_429_by_group", &[("group", &g.to_string())])
-                })
-                .collect(),
             request_latency: registry
                 .histogram("net_request_latency_micros", &LATENCY_BOUNDS_MICROS),
             drains: registry.counter("net_drains"),
             drain_micros: registry.histogram("net_drain_micros", &LATENCY_BOUNDS_MICROS),
-        }
-    }
-
-    /// Books one shed request against its owning group's 429 lane.
-    fn shed(&self, group: usize) {
-        self.responses_429.inc();
-        if let Some(lane) = self.responses_429_by_group.get(group) {
-            lane.inc();
         }
     }
 }
@@ -300,7 +275,7 @@ impl Server {
         reactor.register_read(listener.as_raw_fd(), LISTENER_TOKEN)?;
         let waker = reactor.waker();
         let shared = Arc::new(Shared::default());
-        let metrics = NetMetrics::new(service.obs_registry(), service.group_count());
+        let metrics = NetMetrics::new(service.obs_registry());
         // The collector attached to the service (if any) becomes the
         // edge's tracer: captured at bind, so attach it *before* binding.
         let trace = service.trace_collector();
@@ -333,16 +308,8 @@ impl Server {
             slo_clock,
         );
 
-        // Every partition has its own scoring queue; the resume
-        // hysteresis compares their summed depth with the summed capacity.
-        let queue_capacity = service.config().queue_capacity * service.group_count();
-        let retry_after_ms = service.config().retry_after_ms;
-        let verdict_ready: Notify = {
-            let waker = waker.clone();
-            Arc::new(move || waker.wake())
-        };
         let event_loop = EventLoop {
-            overload_response: accept_gate_response(retry_after_ms),
+            overload_response: accept_gate_response(service.config().retry_after_ms),
             limits: Limits {
                 max_head_bytes: config.max_head_bytes,
                 max_body_bytes: config.max_body_bytes,
@@ -352,14 +319,11 @@ impl Server {
             reactor,
             shared: Arc::clone(&shared),
             config,
-            queue_capacity,
             conns: Vec::new(),
             free: Vec::new(),
             active: 0,
             accept_ready: true, // connections may predate registration
-            paused_any: false,
             backlog: false,
-            verdict_ready,
             metrics,
             trace,
             slo_1m,
@@ -436,18 +400,6 @@ fn retry_secs(retry_after_ms: u64) -> u64 {
     retry_after_ms.div_ceil(1000).max(1)
 }
 
-/// Where a routed request goes next.
-enum Routed {
-    /// Answer immediately; `pause_reads` is the 429 backpressure signal.
-    Done {
-        response: Response,
-        pause_reads: bool,
-    },
-    /// A classify was submitted: answered already on a cache hit,
-    /// otherwise queued, with the loop's waker riding along.
-    Score(PendingVerdict),
-}
-
 struct EventLoop {
     service: Arc<FrappeService>,
     listener: TcpListener,
@@ -455,21 +407,15 @@ struct EventLoop {
     shared: Arc<Shared>,
     config: NetConfig,
     limits: Limits,
-    queue_capacity: usize,
     /// Slab of connections; reactor token = index + 1.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     active: usize,
     /// Edge-trigger memo for the listener.
     accept_ready: bool,
-    /// Any connection read-paused (enables the resume check + its tick).
-    paused_any: bool,
     /// This pass's pipelining guard left a complete request buffered on
     /// some connection: no fd edge will come for it, so don't sleep.
     backlog: bool,
-    /// Wakes this loop when a queued verdict completes; cloned into every
-    /// classify the edge submits (in-process callers pass none).
-    verdict_ready: Notify,
     metrics: NetMetrics,
     overload_response: Vec<u8>,
     /// Request tracer (the service's collector, captured at bind).
@@ -489,7 +435,6 @@ impl EventLoop {
             }
             let running = command == Command::Running;
 
-            self.maybe_resume_paused();
             if running {
                 self.accept_new();
             }
@@ -499,19 +444,10 @@ impl EventLoop {
             }
             self.publish_drained(command);
 
-            // Sleep until the kernel or a waker says: a queued verdict
-            // fires the waker when it completes. Two states have no such
-            // signal. Requests the pipelining guard left buffered get no
-            // fd edge, so poll without blocking and serve them next pass.
-            // A 429-paused connection resumes on scorer-queue depth, so
-            // tick to re-check it.
-            let timeout = if self.backlog {
-                Some(Duration::ZERO)
-            } else if self.paused_any {
-                Some(Duration::from_millis(1))
-            } else {
-                None
-            };
+            // Sleep until the kernel or a control-plane waker says. Requests
+            // the pipelining guard left buffered get no fd edge, so then
+            // poll without blocking and serve them next pass.
+            let timeout = self.backlog.then_some(Duration::ZERO);
             events.clear();
             if self.reactor.poll(timeout, &mut events).is_err() {
                 continue;
@@ -541,21 +477,6 @@ impl EventLoop {
         }
         self.active = 0;
         self.metrics.active.set(0);
-    }
-
-    /// Hysteresis: 429-paused connections resume once the scorer queue
-    /// has fallen to half capacity, not the instant one slot frees — so
-    /// the edge does not flap between pause and reject.
-    fn maybe_resume_paused(&mut self) {
-        if !self.paused_any {
-            return;
-        }
-        if self.service.queue_depth() * 2 <= self.queue_capacity {
-            for conn in self.conns.iter_mut().flatten() {
-                conn.paused = false;
-            }
-            self.paused_any = false;
-        }
     }
 
     fn accept_new(&mut self) {
@@ -614,8 +535,8 @@ impl EventLoop {
         let gone = self.pump_conn(&mut conn, running);
         // a peer that sent EOF is retired once every complete request it
         // sent before it has been answered
-        let finished =
-            conn.is_quiesced() && (conn.closing || (conn.eof && !conn.parser.has_request()));
+        let finished = !conn.has_pending_output()
+            && (conn.closing || (conn.eof && !conn.parser.has_request()));
         if gone || finished {
             // a vanished peer leaves responses unflushed; their traces
             // still finish (as `aborted`) so nothing dangles
@@ -638,21 +559,7 @@ impl EventLoop {
             }
         }
 
-        if let Phase::Scoring {
-            pending,
-            keep_alive,
-            started,
-            trace,
-        } = &mut conn.phase
-        {
-            if let Some(outcome) = pending.poll() {
-                let (keep_alive, started, trace) = (*keep_alive, *started, trace.take());
-                let response = self.verdict_response(outcome);
-                self.enqueue(conn, response, keep_alive, Some(started), trace);
-            }
-        }
-
-        if running && conn.can_serve() {
+        if running && !conn.closing {
             if conn.readable && !conn.eof {
                 match conn.fill() {
                     IoStep::Progress(n) => self.metrics.bytes_read.add(n as u64),
@@ -681,16 +588,16 @@ impl EventLoop {
     }
 
     /// Parses and serves buffered requests, bounded by the pipelining
-    /// guard, stopping at an in-flight classify or a read pause. When the
-    /// guard is what stopped it with a complete request still buffered,
-    /// flags [`backlog`](Self::backlog) so the loop comes straight back.
+    /// guard. When the guard is what stopped it with a complete request
+    /// still buffered, flags [`backlog`](Self::backlog) so the loop comes
+    /// straight back.
     fn serve_buffered(&mut self, conn: &mut Conn) {
         for _ in 0..self.config.max_requests_per_wake {
             if !self.serve_next(conn) {
                 return;
             }
         }
-        if conn.can_serve() && conn.parser.has_request() {
+        if !conn.closing && conn.parser.has_request() {
             self.backlog = true;
         }
     }
@@ -698,7 +605,7 @@ impl EventLoop {
     /// Serves the next buffered request; `false` when there was none to
     /// serve or the connection cannot take another yet.
     fn serve_next(&mut self, conn: &mut Conn) -> bool {
-        if !conn.can_serve() {
+        if conn.closing {
             return false;
         }
         let request = match conn.parser.next_request() {
@@ -720,36 +627,8 @@ impl EventLoop {
         let started = Instant::now();
         self.metrics.requests.inc();
         let trace = self.begin_request_trace(conn, &request);
-        match self.route(&request, trace.as_ref()) {
-            Routed::Done {
-                response,
-                pause_reads,
-            } => {
-                self.enqueue(conn, response, request.keep_alive, Some(started), trace);
-                if pause_reads {
-                    // ring 2: this client just got a 429 — stop reading
-                    // it until the queue recovers
-                    conn.paused = true;
-                    self.paused_any = true;
-                    self.metrics.read_stalls.inc();
-                }
-            }
-            // a cache hit comes back answered: respond in this same pass
-            Routed::Score(mut pending) => match pending.poll() {
-                Some(outcome) => {
-                    let response = self.verdict_response(outcome);
-                    self.enqueue(conn, response, request.keep_alive, Some(started), trace);
-                }
-                None => {
-                    conn.phase = Phase::Scoring {
-                        pending,
-                        keep_alive: request.keep_alive,
-                        started,
-                        trace,
-                    };
-                }
-            },
-        }
+        let response = self.route(&request, trace.as_ref());
+        self.enqueue(conn, response, request.keep_alive, Some(started), trace);
         true
     }
 
@@ -780,13 +659,9 @@ impl EventLoop {
         Some((handle, root))
     }
 
-    fn route(&self, request: &Request, trace: Option<&(TraceHandle, SpanId)>) -> Routed {
-        let done = |response| Routed::Done {
-            response,
-            pause_reads: false,
-        };
+    fn route(&self, request: &Request, trace: Option<&(TraceHandle, SpanId)>) -> Response {
         match (request.method, request.path.as_str()) {
-            (Method::Get, "/healthz") => done(Response::json(200, &br#"{"status":"ok"}"#[..])),
+            (Method::Get, "/healthz") => Response::json(200, &br#"{"status":"ok"}"#[..]),
             (Method::Get, "/metrics") => {
                 // Publish edge-side state into the service's *base*
                 // registry first; `exposition()` then snapshots it and —
@@ -800,17 +675,17 @@ impl EventLoop {
                 self.slo_1m.publish(registry, "1m");
                 self.slo_5m.publish(registry, "5m");
                 let text = self.service.exposition().to_prometheus_text();
-                done(Response::text(200, text.into_bytes()))
+                Response::text(200, text.into_bytes())
             }
-            (Method::Get, "/v1/traces") => done(match &self.trace {
+            (Method::Get, "/v1/traces") => match &self.trace {
                 Some(tc) => Response::text(200, tc.export_jsonl().into_bytes()),
                 None => Response::json(404, &br#"{"error":"tracing disabled"}"#[..]),
-            }),
-            (Method::Get, "/v1/traces/chrome") => done(match &self.trace {
+            },
+            (Method::Get, "/v1/traces/chrome") => match &self.trace {
                 Some(tc) => Response::json(200, tc.export_chrome_trace().into_bytes()),
                 None => Response::json(404, &br#"{"error":"tracing disabled"}"#[..]),
-            }),
-            (Method::Post, "/v1/events") => done(self.ingest_events(&request.body)),
+            },
+            (Method::Post, "/v1/events") => self.ingest_events(&request.body),
             (Method::Get, path) if path.starts_with("/v1/classify/") => {
                 let raw = &path["/v1/classify/".len()..];
                 let Ok(app) = raw.parse::<AppId>() else {
@@ -819,38 +694,18 @@ impl EventLoop {
                         serde_json::to_string(&format!("unparsable app id: {raw}"))
                             .expect("strings serialize")
                     );
-                    return done(Response::json(400, body.into_bytes()));
+                    return Response::json(400, body.into_bytes());
                 };
                 let edge_trace = trace.map(|(handle, root)| (handle.clone(), Some(*root)));
-                let notify = Some(Arc::clone(&self.verdict_ready));
-                match self.service.classify_traced(app, edge_trace, notify) {
-                    Ok(pending) => Routed::Score(pending),
-                    Err(err) => {
-                        let pause_reads = matches!(err, ServeError::Overloaded { .. });
-                        if pause_reads {
-                            // the submit site is the one place both the
-                            // app and the shed are known — attribute the
-                            // 429 to the group that owns the app
-                            self.metrics.shed(self.service.group_of(app));
-                        }
-                        Routed::Done {
-                            response: error_response(err),
-                            pause_reads,
-                        }
-                    }
-                }
+                verdict_response(self.service.classify_traced(app, edge_trace))
             }
             (_, "/healthz" | "/metrics" | "/v1/events" | "/v1/traces" | "/v1/traces/chrome") => {
-                done(Response::json(
-                    405,
-                    &br#"{"error":"method not allowed"}"#[..],
-                ))
+                Response::json(405, &br#"{"error":"method not allowed"}"#[..])
             }
-            (_, path) if path.starts_with("/v1/classify/") => done(Response::json(
-                405,
-                &br#"{"error":"method not allowed"}"#[..],
-            )),
-            _ => done(Response::json(404, &br#"{"error":"no such route"}"#[..])),
+            (_, path) if path.starts_with("/v1/classify/") => {
+                Response::json(405, &br#"{"error":"method not allowed"}"#[..])
+            }
+            _ => Response::json(404, &br#"{"error":"no such route"}"#[..]),
         }
     }
 
@@ -888,23 +743,6 @@ impl EventLoop {
         )
     }
 
-    fn verdict_response(&self, outcome: Result<Verdict, ServeError>) -> Response {
-        match outcome {
-            Ok(verdict) => Response::json(
-                200,
-                serde_json::to_string(&verdict)
-                    .expect("verdicts serialize")
-                    .into_bytes(),
-            ),
-            Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.responses_429.inc();
-                }
-                error_response(err)
-            }
-        }
-    }
-
     fn enqueue(
         &self,
         conn: &mut Conn,
@@ -923,7 +761,6 @@ impl EventLoop {
         let before = conn.out.len();
         response.write_into(&mut conn.out);
         conn.enqueued_total += (conn.out.len() - before) as u64;
-        conn.phase = Phase::Idle;
         if let Some(started) = started {
             let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             // latency bucket exemplars name a real traced request
@@ -931,15 +768,12 @@ impl EventLoop {
             self.metrics
                 .request_latency
                 .observe_with_exemplar(micros, exemplar);
-            // "bad" for SLO purposes: shed (429) or server-side failure
-            let bad = status == 429 || status >= 500;
+            // "bad" for SLO purposes: a server-side failure
+            let bad = status >= 500;
             self.slo_1m.record(micros, bad);
             self.slo_5m.record(micros, bad);
         }
         if let Some((handle, root)) = trace {
-            if status == 429 {
-                handle.flag(TraceFlag::Shed429);
-            }
             // the response is buffered, not yet on the wire: the trace
             // finishes when the flush watermark passes `target`
             let write_span = handle.start_span("edge/write", Some(root));
@@ -957,7 +791,8 @@ impl EventLoop {
         if command != Command::Draining {
             return;
         }
-        let drained = self.conns.iter().flatten().all(Conn::is_quiesced);
+        // requests never outlive their pass, so flushed output is quiesced
+        let drained = self.conns.iter().flatten().all(|c| !c.has_pending_output());
         let mut state = self.shared.state.lock().expect("edge state lock");
         if state.command == command && state.drained != drained {
             state.drained = drained;
@@ -966,13 +801,28 @@ impl EventLoop {
     }
 }
 
-/// Maps a [`ServeError`] onto its status + envelope body. The 429
+/// A classify's outcome as a response: the verdict JSON, or the error's.
+fn verdict_response(outcome: Result<Verdict, ServeError>) -> Response {
+    match outcome {
+        Ok(verdict) => Response::json(
+            200,
+            serde_json::to_string(&verdict)
+                .expect("verdicts serialize")
+                .into_bytes(),
+        ),
+        Err(err) => error_response(err),
+    }
+}
+
+/// Maps a [`ServeError`] onto its status + envelope body. A 429
 /// carries both the exact millisecond hint (envelope) and the
-/// rounded-up `Retry-After` header; 503 closes the connection.
+/// rounded-up `Retry-After` header; 503 closes the connection, and 500
+/// (one failed score) does not.
 fn error_response(err: ServeError) -> Response {
     let status = match &err {
         ServeError::UnknownApp(_) => 404,
         ServeError::Overloaded { .. } => 429,
+        ServeError::Internal => 500,
         ServeError::ShuttingDown => 503,
     };
     let retry_after_secs = match &err {
@@ -1016,5 +866,10 @@ mod tests {
         let r = error_response(ServeError::ShuttingDown);
         assert_eq!(r.status, 503);
         assert!(r.close, "no point keeping a connection to a dying service");
+
+        let r = error_response(ServeError::Internal);
+        assert_eq!(r.status, 500);
+        assert_eq!(r.body, br#"{"error":"Internal","retry_after_ms":null}"#);
+        assert!(!r.close, "one failed score does not cost the connection");
     }
 }

@@ -1,8 +1,8 @@
 //! Per-request distributed-style tracing with tail-based sampling.
 //!
 //! A [`TraceCollector`] mints [`TraceHandle`]s at the request edge; the
-//! handle travels with the request (cloned across the scorer-pool
-//! boundary) and accumulates causally-linked spans (`parent` pointers)
+//! handle travels with the request (cloned into every layer that records
+//! into it) and accumulates causally-linked spans (`parent` pointers)
 //! and point events. When the response is written the trace is
 //! *finished* and a keep decision is made:
 //!
@@ -60,7 +60,7 @@ pub struct SpanId(pub u32);
 /// Why a trace is interesting enough to always keep (tail sampling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFlag {
-    /// Rejected by the scorer-pool admission control (HTTP 429).
+    /// Rejected by admission control with HTTP 429.
     Shed429,
     /// Rejected at the accept gate before a connection existed (503).
     ShedAcceptGate,
@@ -300,8 +300,8 @@ struct ActiveBody {
     truncated: bool,
 }
 
-/// A trace being recorded. Shared between the edge and pool workers via
-/// [`TraceHandle`] clones.
+/// A trace being recorded. Shared by every layer that records into it
+/// via [`TraceHandle`] clones.
 pub struct ActiveTrace {
     id: u64,
     kind: &'static str,

@@ -15,10 +15,9 @@
 //!  classify(app) ─► owner partition ─► VerdictCache probe ── hit ──► Verdict
 //!                                        │ miss (generation-stamped)   ▲
 //!                                        ▼                             │
-//!                                   bounded queue ─► ScorerPool ─► score + cache put
-//!                                        │ full?
-//!                                        ▼
-//!                                   Overloaded {retry_after}
+//!                                   snapshot + SVM eval ─► cache put ──┘
+//!                                   (caller's thread; a panic here is
+//!                                    ServeError::Internal, not a crash)
 //!
 //!  K partitions (ServeConfig::groups, default 1) share one ControlPlane:
 //!  the model epoch pointer and the known-malicious names.
@@ -31,9 +30,8 @@
 //! (`tests/serve_parity.rs`). Incrementality buys speed, never drift.
 //!
 //! Module map: [`event`] is the input vocabulary, [`store`] the sharded
-//! incremental feature state, `pool` (private) the scorer workers with
-//! reject-with-retry-after backpressure, [`cache`] the generation-stamped
-//! verdict memo, [`control`] the model pointer and known names every
+//! incremental feature state, [`cache`] the generation-stamped verdict
+//! memo, [`control`] the model pointer and known names every
 //! partition shares, [`metrics`] the observability layer (a thin view
 //! over a per-partition [`frappe_obs::Registry`], exportable as
 //! Prometheus text or JSONL), `router` (private) the partition hash and
@@ -51,13 +49,13 @@
 //!
 //! ## Scale-out: partitions
 //!
-//! One partition saturates around its store locks and one scorer lane.
+//! One partition's callers contend on its store and cache locks.
 //! [`ServeConfig::groups`] splits the app-id space across K partitions
-//! behind the same [`FrappeService`]: each owns a private store, cache,
-//! scorer pool and registry, and ingest and classify go straight to the
-//! owner partition on the caller's thread. The [`control::ControlPlane`]
-//! (model epoch pointer and known-names generation) is shared by
-//! construction, so hot swaps and name flags stay globally atomic, and
+//! behind the same [`FrappeService`]: each owns a private store, cache
+//! and registry, and ingest and classify go straight to the owner
+//! partition on the caller's thread — the service owns no threads. The
+//! [`control::ControlPlane`] (model epoch pointer and known-names
+//! generation) is shared by construction, so hot swaps and name flags stay globally atomic, and
 //! [`FrappeService::exposition`] merges the K registries into one scrape
 //! with `group="<i>"` lanes. Verdicts are bit-identical at every K
 //! (`tests/catalog_parity.rs`).
@@ -70,7 +68,6 @@ pub mod cache;
 pub mod control;
 pub mod event;
 pub mod metrics;
-pub(crate) mod pool;
 pub(crate) mod router;
 pub mod service;
 pub mod store;
@@ -80,7 +77,5 @@ pub use cache::CacheLookup;
 pub use control::{ControlPlane, ControlStamp};
 pub use event::ServeEvent;
 pub use metrics::{LatencySnapshot, MetricsSnapshot};
-pub use service::{
-    ErrorEnvelope, FrappeService, Notify, PendingVerdict, ServeConfig, ServeError, Verdict,
-};
+pub use service::{ErrorEnvelope, FrappeService, ServeConfig, ServeError, Verdict};
 pub use store::{FeatureSnapshot, FeatureStore};

@@ -1,7 +1,7 @@
 //! Service observability, served from the shared [`frappe_obs`] registry.
 //!
 //! The instruments themselves live in [`frappe_obs`]: relaxed-atomic
-//! counters, a queue-depth gauge, and a fixed-bucket latency histogram —
+//! counters and gauges, and a fixed-bucket latency histogram —
 //! metrics must never become the bottleneck they are supposed to
 //! diagnose. This module binds them under well-known `serve_*` names and
 //! keeps the original [`MetricsSnapshot`] export as a thin view, so
@@ -23,7 +23,8 @@ use serde::{Deserialize, Serialize};
 
 /// Upper bounds (µs) of the latency buckets; one extra overflow bucket
 /// catches everything slower. Roughly logarithmic from 1µs to 10ms —
-/// in-process scoring lives at the low end, queueing shows up at the top.
+/// in-process scoring lives at the low end, lock contention shows up at
+/// the top.
 pub const LATENCY_BOUNDS_MICROS: [u64; 13] = [
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000,
 ];
@@ -95,11 +96,9 @@ pub struct Metrics {
     cache_misses: Arc<Counter>,
     rejected: Arc<Counter>,
     stale_epoch_rescores: Arc<Counter>,
-    batches_scored: Arc<Counter>,
     model_swaps: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     model_version: Arc<Gauge>,
-    queue_depth: Arc<Gauge>,
     latency: Arc<Histogram>,
     /// One counter per catalog feature, in catalog order: how often that
     /// lane was unobserved (imputed) in a freshly scored row.
@@ -119,11 +118,9 @@ impl Metrics {
             cache_misses: registry.counter("serve_cache_misses"),
             rejected: registry.counter("serve_rejected"),
             stale_epoch_rescores: registry.counter("serve_stale_epoch_rescores"),
-            batches_scored: registry.counter("serve_batches_scored"),
             model_swaps: registry.counter("serve_model_swaps"),
             cache_evictions: registry.counter("serve_cache_evictions"),
             model_version: registry.gauge("serve_model_version"),
-            queue_depth: registry.gauge("serve_queue_depth"),
             latency: registry.histogram("serve_query_latency_micros", &LATENCY_BOUNDS_MICROS),
             feature_unobserved: frappe::catalog::all()
                 .map(|def| registry.counter(&format!("serve_feature_unobserved_{}", def.key)))
@@ -168,7 +165,7 @@ impl Metrics {
         self.cache_misses.inc();
     }
 
-    /// Query rejected by backpressure.
+    /// Query that failed inside the service (a scoring panic).
     pub fn rejected(&self) {
         self.rejected.inc();
     }
@@ -177,11 +174,6 @@ impl Metrics {
     /// model epoch — the re-score a hot swap forced.
     pub fn stale_epoch_rescore(&self) {
         self.stale_epoch_rescores.inc();
-    }
-
-    /// One worker batch drained (of any size ≥ 1).
-    pub fn batch_scored(&self) {
-        self.batches_scored.inc();
     }
 
     /// Publishes the version of the model currently scoring (set at
@@ -214,12 +206,8 @@ impl Metrics {
         }
     }
 
-    /// Exports current values. `queue_depth` is sampled by the caller
-    /// (the service knows its channel; the counters do not) and is also
-    /// published to the `serve_queue_depth` gauge.
-    pub fn snapshot(&self, queue_depth: usize) -> MetricsSnapshot {
-        self.queue_depth
-            .set(queue_depth.min(i64::MAX as usize) as i64);
+    /// Exports current values.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let hits = self.cache_hits.get();
         let misses = self.cache_misses.get();
         let looked_up = hits + misses;
@@ -234,11 +222,9 @@ impl Metrics {
                 hits as f64 / looked_up as f64
             },
             rejected: self.rejected.get(),
-            batches_scored: self.batches_scored.get(),
             model_version: self.model_version.get().max(0) as u64,
             model_swaps: self.model_swaps.get(),
             cache_evictions: self.cache_evictions.get(),
-            queue_depth,
             latency: LatencySnapshot::from_histogram(&self.latency.snapshot()),
         }
     }
@@ -265,10 +251,8 @@ pub struct MetricsSnapshot {
     pub cache_misses: u64,
     /// `cache_hits / (cache_hits + cache_misses)`, 0 when nothing looked up.
     pub cache_hit_ratio: f64,
-    /// Queries rejected by backpressure.
+    /// Queries that failed inside the service (a scoring panic).
     pub rejected: u64,
-    /// Worker batches drained.
-    pub batches_scored: u64,
     /// Version of the model currently scoring.
     pub model_version: u64,
     /// Hot swaps of the scoring model (promotions + rollbacks).
@@ -276,15 +260,13 @@ pub struct MetricsSnapshot {
     /// Verdicts eagerly evicted from the cache (lazy invalidation by
     /// generation stamp is not counted here — those die by overwrite).
     pub cache_evictions: u64,
-    /// Scoring-queue depth when the snapshot was taken.
-    pub queue_depth: usize,
     /// Query-latency histogram.
     pub latency: LatencySnapshot,
 }
 
 impl MetricsSnapshot {
-    /// Folds another partition's snapshot into this one. Counters, the
-    /// queue depth and the latency histogram add, and the hit ratio is
+    /// Folds another partition's snapshot into this one. Counters and the
+    /// latency histogram add, and the hit ratio is
     /// recomputed; `model_swaps` takes the maximum, because every
     /// partition books each shared swap once (the sum would count one
     /// swap K times), and `model_version` is the shared model's, the same
@@ -295,10 +277,8 @@ impl MetricsSnapshot {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.rejected += other.rejected;
-        self.batches_scored += other.batches_scored;
         self.model_swaps = self.model_swaps.max(other.model_swaps);
         self.cache_evictions += other.cache_evictions;
-        self.queue_depth += other.queue_depth;
         debug_assert_eq!(self.latency.bounds_micros, other.latency.bounds_micros);
         for (acc, c) in self.latency.counts.iter_mut().zip(&other.latency.counts) {
             *acc += c;
@@ -326,23 +306,20 @@ mod tests {
         m.cache_miss();
         m.cache_miss();
         m.rejected();
-        m.batch_scored();
         m.query_served(Duration::from_micros(30));
         m.set_model_version(1);
         m.model_swapped(2);
         m.cache_evicted(4);
-        let s = m.snapshot(5);
+        let s = m.snapshot();
         assert_eq!(s.events_ingested, 2);
         assert_eq!(s.queries_served, 1);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 3);
         assert!((s.cache_hit_ratio - 0.25).abs() < 1e-12);
         assert_eq!(s.rejected, 1);
-        assert_eq!(s.batches_scored, 1);
         assert_eq!(s.model_version, 2, "swap republished the gauge");
         assert_eq!(s.model_swaps, 1);
         assert_eq!(s.cache_evictions, 4);
-        assert_eq!(s.queue_depth, 5);
         assert_eq!(s.latency.count, 1);
     }
 
@@ -354,7 +331,7 @@ mod tests {
         m.query_served(Duration::from_micros(30)); // ≤50
         m.query_served(Duration::from_micros(9_000)); // ≤10_000
         m.query_served(Duration::from_secs(1)); // overflow
-        let s = m.snapshot(0).latency;
+        let s = m.snapshot().latency;
         assert_eq!(s.count, 5);
         assert_eq!(s.counts.iter().sum::<u64>(), 5);
         assert_eq!(*s.counts.last().unwrap(), 1, "1s lands in overflow");
@@ -374,7 +351,7 @@ mod tests {
         let m = Metrics::default();
         m.query_served(Duration::from_micros(5));
         m.query_served(Duration::from_secs(2)); // overflow bucket
-        let s = m.snapshot(0).latency;
+        let s = m.snapshot().latency;
         assert_eq!(s.quantile_bound_micros(0.5), Some(5));
         assert_eq!(
             s.quantile_bound_micros(0.99),
@@ -385,7 +362,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_well_defined() {
-        let s = Metrics::default().snapshot(0).latency;
+        let s = Metrics::default().snapshot().latency;
         assert_eq!(s.mean_micros(), 0.0);
         assert_eq!(s.quantile_bound_micros(0.5), None);
     }
@@ -416,7 +393,7 @@ mod tests {
         let m = Metrics::default();
         m.query_served(Duration::from_micros(120));
         m.cache_miss();
-        let s = m.snapshot(0);
+        let s = m.snapshot();
         let text = serde_json::to_string(&s).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back, s);
@@ -427,11 +404,9 @@ mod tests {
         let m = Metrics::default();
         m.event_ingested();
         m.query_served(Duration::from_micros(40));
-        let _ = m.snapshot(3); // publishes the queue-depth gauge
         let text = m.registry().snapshot().to_prometheus_text();
         assert!(text.contains("serve_events_ingested 1"));
         assert!(text.contains("serve_queries_served 1"));
-        assert!(text.contains("serve_queue_depth 3"));
         assert!(text.contains("serve_query_latency_micros_count 1"));
     }
 }

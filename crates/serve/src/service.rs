@@ -1,23 +1,27 @@
 //! The service façade: one struct that owns K partitions of the app-id
-//! space (each a feature store, a verdict cache, a scorer pool and a
-//! metrics registry), the [`ControlPlane`] they share (model epoch
-//! pointer and known-malicious names), and exposes the two verbs that
-//! matter — `ingest(event)` and `classify(app)`.
+//! space (each a feature store, a verdict cache and a metrics registry),
+//! the [`ControlPlane`] they share (model epoch pointer and
+//! known-malicious names), and exposes the two verbs that matter —
+//! `ingest(event)` and `classify(app)`.
 //!
 //! ## Concurrency shape
 //!
-//! * **Ingest** applies the event to its owner partition's store on the
-//!   caller's thread: wait-free apart from one shard write lock, and it
-//!   never touches the cache (invalidation is by generation stamp, see
-//!   [`crate::cache`]). An app has exactly one owner partition, so the
-//!   caller's order is the per-app apply order.
-//! * **Classify** of an app whose verdict is cached is answered on the
-//!   caller's thread (one cache probe, no pool hop). Everything else goes
-//!   through the owner partition's bounded scoring queue. When the queue
-//!   is full the call is *rejected immediately* with
-//!   [`ServeError::Overloaded`] carrying a retry-after hint — the paper's
-//!   "FRAppE as a service" must degrade by shedding queries, not by
-//!   stalling the event stream.
+//! Both verbs run to completion on the caller's thread; the service owns
+//! no threads.
+//!
+//! * **Ingest** applies the event to its owner partition's store:
+//!   wait-free apart from one shard write lock, and it never touches the
+//!   cache (invalidation is by generation stamp, see [`crate::cache`]).
+//!   An app has exactly one owner partition, so the caller's order is the
+//!   per-app apply order.
+//! * **Classify** probes the owner partition's verdict cache and, on a
+//!   miss, snapshots the features and evaluates the model right there —
+//!   about a microsecond of work, less than any thread hand-off would
+//!   cost. Concurrent callers contend only on shard locks. A panic while
+//!   scoring is caught and answered with [`ServeError::Internal`]: it
+//!   costs that one call, never the caller's thread. Overload is the
+//!   transport's business (the network edge's accept gate and TCP flow
+//!   control), not a queue in here.
 //! * **Known-name growth** ([`FrappeService::flag_name`]) takes the one
 //!   write lock and bumps the shared known-generation, lazily
 //!   invalidating every cached verdict in every partition (a new name
@@ -34,14 +38,15 @@
 //! flags go through the shared control plane, so they stay atomic across
 //! partitions.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
 use frappe_obs::{
-    AuditLog, AuditSource, Counter, Gauge, Registry, RegistrySnapshot, SpanId, TraceCollector,
-    TraceFlag, TraceHandle,
+    AuditLog, AuditSource, Counter, Registry, RegistrySnapshot, SpanId, TraceCollector, TraceFlag,
+    TraceHandle,
 };
 use osn_types::ids::AppId;
 use parking_lot::RwLock;
@@ -52,25 +57,18 @@ use crate::cache::{CacheLookup, VerdictCache};
 use crate::control::{ControlPlane, ControlStamp};
 use crate::event::ServeEvent;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pool::{ScorerPool, Slot};
 use crate::router::{group_index, merge_expositions, SHARED_FAMILIES};
 use crate::store::{FeatureSnapshot, FeatureStore};
 
 /// Tuning knobs for one service instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
-    /// Partitions of the app-id space (K). Each owns a store, cache,
-    /// scorer pool and registry configured by the knobs below.
+    /// Partitions of the app-id space (K). Each owns a store, cache and
+    /// registry.
     pub groups: usize,
-    /// Feature-store and cache shards (lock granularity).
+    /// Feature-store and cache shards per partition (lock granularity).
     pub shards: usize,
-    /// Scorer threads.
-    pub workers: usize,
-    /// Bounded scoring-queue capacity; beyond it queries are rejected.
-    pub queue_capacity: usize,
-    /// Max requests a worker drains per wake-up.
-    pub batch_size: usize,
-    /// Retry hint handed to rejected callers (ms).
+    /// Retry hint a transport hands to the clients it sheds (ms).
     pub retry_after_ms: u64,
 }
 
@@ -79,9 +77,6 @@ impl Default for ServeConfig {
         ServeConfig {
             groups: 1,
             shards: 4,
-            workers: 2,
-            queue_capacity: 256,
-            batch_size: 16,
             retry_after_ms: 5,
         }
     }
@@ -107,20 +102,24 @@ pub struct Verdict {
 /// Why a classify call did not produce a verdict.
 ///
 /// Serializes externally tagged — `{"UnknownApp": 404}`,
-/// `{"Overloaded": {"retry_after_ms": 5}}`, `"ShuttingDown"` — which is
-/// the wire format the network edge's [`ErrorEnvelope`] carries; the
-/// envelope test pins it.
+/// `{"Overloaded": {"retry_after_ms": 5}}`, `"ShuttingDown"`,
+/// `"Internal"` — which is the wire format the network edge's
+/// [`ErrorEnvelope`] carries; the envelope test pins it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServeError {
     /// No event has ever mentioned this app.
     UnknownApp(AppId),
-    /// The scoring queue is full; retry after the hinted delay.
+    /// The transport is at capacity; retry after the hinted delay. The
+    /// service itself never sheds: the network edge answers with this
+    /// at its accept gate.
     Overloaded {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,
     },
     /// The service is shutting down.
     ShuttingDown,
+    /// Scoring panicked; this request failed, the service did not.
+    Internal,
 }
 
 /// The stable JSON error body every transport shares: the HTTP edge
@@ -163,36 +162,19 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownApp(app) => write!(f, "app {app:?} has never been observed"),
             ServeError::Overloaded { retry_after_ms } => {
-                write!(f, "scoring queue full; retry after {retry_after_ms}ms")
+                write!(f, "at capacity; retry after {retry_after_ms}ms")
             }
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
+            ServeError::Internal => write!(f, "internal error while scoring"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-/// Trace context that rides a queued request across the pool boundary.
-///
-/// `submitted_us` is stamped (on the collector clock) when the request
-/// enters the queue, so the worker can record the queue-wait as a
-/// retroactive span; `parent` is the span the serve-side spans hang off
-/// (the edge's request span, or the self-minted classify root).
-pub(crate) struct TraceCtx {
-    pub(crate) handle: TraceHandle,
-    pub(crate) parent: Option<SpanId>,
-    pub(crate) submitted_us: u64,
-}
-
-/// A completion hook handed in with one classify: fired exactly once,
-/// after the queued verdict becomes readable (or the request is dropped
-/// unscored). The network edge passes its reactor waker this way — one
-/// shared handle cloned per request, so the hook costs a refcount, not an
-/// allocation. Cache hits settle before `classify_traced` returns, and a
-/// rejected submit returns its error; neither fires it.
-pub type Notify = Arc<dyn Fn() + Send + Sync>;
-
-/// Everything a scorer worker needs, shared once behind an `Arc`.
+/// One partition of the app-id space: a private store, verdict cache and
+/// metrics registry, plus the control-plane handles every partition
+/// scores through (partitions share nothing else).
 pub(crate) struct ScoreEngine {
     model: SharedModel,
     store: FeatureStore,
@@ -204,46 +186,34 @@ pub(crate) struct ScoreEngine {
 }
 
 impl ScoreEngine {
-    /// Answers from the verdict cache on the caller's thread, or `None`
-    /// when the request must queue (a miss, or an app the store has never
-    /// seen). A hit records the same trace shape a worker would: a
-    /// zero-length `serve/queue` at the submit stamp, then `serve/score`
-    /// carrying the `cache_hit` event.
-    pub(crate) fn cached(&self, app: AppId, trace: Option<&TraceCtx>) -> Option<Verdict> {
-        let _span = frappe_obs::span("serve/score");
-        let Ok(CacheLookup::Hit(hit)) = self.probe(app, trace) else {
-            return None;
+    fn new(control: &ControlPlane, shortener: Shortener, config: &ServeConfig) -> Self {
+        let engine = ScoreEngine {
+            model: control.model_handle(),
+            store: FeatureStore::new(config.shards),
+            cache: VerdictCache::new(config.shards),
+            known: control.known_names(),
+            shortener,
+            metrics: Metrics::default(),
+            audit: RwLock::new(None),
         };
-        if let Some(ctx) = trace {
-            let now = ctx.handle.now_micros();
-            ctx.handle.span_at(
-                "serve/queue",
-                ctx.parent,
-                ctx.submitted_us,
-                ctx.submitted_us,
-            );
-            ctx.handle
-                .span_at("serve/score", ctx.parent, ctx.submitted_us, now);
-        }
-        Some(hit)
+        engine.metrics.set_model_version(engine.model.version());
+        engine
     }
 
-    /// Cache-or-score one app, recording serve-side spans into the
-    /// request's trace when one rides along. Runs on a pool worker.
-    pub(crate) fn score_traced(
+    /// Cache-or-score one app on the caller's thread, recording
+    /// serve-side spans into the request's trace when one rides along: a
+    /// zero-length `serve/queue` (nothing queues, but trace readers keep
+    /// one shape), then `serve/score`, with `serve/model_eval` under it
+    /// when the verdict is scored fresh.
+    fn score_traced(
         &self,
         app: AppId,
-        trace: Option<&TraceCtx>,
+        trace: Option<&ClassifyTrace>,
     ) -> Result<Verdict, ServeError> {
         let score_span = trace.map(|ctx| {
-            // the time between submit and this wake-up is queue wait
-            ctx.handle.span_at(
-                "serve/queue",
-                ctx.parent,
-                ctx.submitted_us,
-                ctx.handle.now_micros(),
-            );
-            ctx.handle.start_span("serve/score", ctx.parent)
+            let now = ctx.handle.now_micros();
+            ctx.handle.span_at("serve/queue", ctx.parent(), now, now);
+            ctx.handle.start_span("serve/score", ctx.parent())
         });
         let outcome = self.score_inner(app, trace, score_span);
         if let (Some(ctx), Some(span)) = (trace, score_span) {
@@ -252,38 +222,32 @@ impl ScoreEngine {
         outcome
     }
 
-    /// The cache probe both classify paths run: store generation,
-    /// known-names generation, model epoch, then the stamped lookup — no
-    /// feature build. A hit is booked (metric + `cache_hit` trace event)
-    /// here; a miss is left for the scorer to book, so a request that
-    /// misses on submit and queues is counted once.
-    fn probe(&self, app: AppId, trace: Option<&TraceCtx>) -> Result<CacheLookup, ServeError> {
+    fn score_inner(
+        &self,
+        app: AppId,
+        trace: Option<&ClassifyTrace>,
+        score_span: Option<SpanId>,
+    ) -> Result<Verdict, ServeError> {
+        let _span = frappe_obs::span("serve/score");
+        // the probe: store generation, known-names generation, model
+        // epoch, then the stamped lookup — no feature build
         let app_gen = self
             .store
             .generation_of(app)
             .ok_or(ServeError::UnknownApp(app))?;
-        let known_gen = self.known.generation();
         let model_epoch = self.model.epoch();
-        let lookup = self.cache.lookup(app, app_gen, known_gen, model_epoch);
-        if matches!(lookup, CacheLookup::Hit(_)) {
-            self.metrics.cache_hit();
-            if let Some(ctx) = trace {
-                ctx.handle
-                    .event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
+        match self
+            .cache
+            .lookup(app, app_gen, self.known.generation(), model_epoch)
+        {
+            CacheLookup::Hit(hit) => {
+                self.metrics.cache_hit();
+                if let Some(ctx) = trace {
+                    ctx.handle
+                        .event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
+                }
+                return Ok(hit);
             }
-        }
-        Ok(lookup)
-    }
-
-    fn score_inner(
-        &self,
-        app: AppId,
-        trace: Option<&TraceCtx>,
-        score_span: Option<SpanId>,
-    ) -> Result<Verdict, ServeError> {
-        let _span = frappe_obs::span("serve/score");
-        match self.probe(app, trace)? {
-            CacheLookup::Hit(hit) => return Ok(hit),
             CacheLookup::MissCold => {
                 self.metrics.cache_miss();
                 if let Some(ctx) = trace {
@@ -364,69 +328,42 @@ impl ScoreEngine {
             .put(app, verdict.clone(), generation, known_gen, vm.epoch());
         Ok(verdict)
     }
-
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
 }
 
-/// A submitted classification, answered or not.
+/// The trace one classify records into.
 ///
-/// The handle is how a non-blocking caller (the network edge's event
-/// loop) rides the pool: [`poll`](Self::poll) checks for the verdict
-/// without blocking, [`wait`](Self::wait) parks until it arrives. A cache
-/// hit comes back already answered, so its first `poll` returns the
-/// verdict. Either way the query-latency histogram is fed exactly once,
-/// measured from submission. Dropping the handle abandons the query (the
-/// worker's answer goes nowhere, which is fine).
-pub struct PendingVerdict {
-    reply: Reply,
-    engine: Arc<ScoreEngine>,
-    start: Instant,
-    trace: Option<PendingTrace>,
-}
-
-/// Where a [`PendingVerdict`]'s outcome is.
-enum Reply {
-    /// Answered on submit (a cache hit); `None` once handed out.
-    Settled(Option<Result<Verdict, ServeError>>),
-    /// Queued on the scorer pool; the worker fills the slot.
-    Queued(Arc<Slot>),
-}
-
-/// The trace attached to a pending classification, if any.
-///
-/// `owned == true` means the service minted it (in-process caller, no
-/// edge) and must finish it at settle time; `false` means an edge handed
-/// its own trace in and will finish it after the response is written.
-/// `group_span` is the open `route/group_score` span of a query routed
-/// to one of several partitions — it closes when the verdict settles, so
-/// the span measures the full forward-to-verdict residence.
-struct PendingTrace {
+/// `owned == true` means the service minted it (an in-process caller, no
+/// edge) and finishes it before returning; `false` means an edge handed
+/// its own trace in and finishes it once the response is written.
+/// `group_span` is the `route/group_score` span of a query routed to one
+/// of several partitions: it parents the serve-side spans.
+struct ClassifyTrace {
     handle: TraceHandle,
     root: Option<SpanId>,
     owned: bool,
     group_span: Option<SpanId>,
 }
 
-impl PendingTrace {
-    /// The context the scorer records into, stamped now: serve-side
-    /// spans hang off the group span when routed, else off the root.
-    fn ctx(&self) -> TraceCtx {
-        TraceCtx {
-            handle: self.handle.clone(),
-            parent: self.group_span.or(self.root),
-            submitted_us: self.handle.now_micros(),
-        }
+impl ClassifyTrace {
+    /// The span serve-side spans hang off: the group span when routed,
+    /// else the root (the edge's request span or the self-minted one).
+    fn parent(&self) -> Option<SpanId> {
+        self.group_span.or(self.root)
     }
 
-    /// Books a rejected submit: a shed is always flagged (and so always
-    /// tail-sampled), and a self-minted trace finishes here.
-    fn shed(&self, err: &ServeError) {
-        if matches!(err, ServeError::Overloaded { .. }) {
-            self.handle.flag(TraceFlag::Shed429);
+    /// Records the outcome and closes what this classify opened; a
+    /// self-minted trace finishes here.
+    fn settle(&self, outcome: &Result<Verdict, ServeError>) {
+        match outcome {
+            Ok(v) => self.handle.event(
+                "verdict",
+                format!(
+                    "malicious={} model_version={}",
+                    v.malicious, v.model_version
+                ),
+            ),
+            Err(e) => self.handle.event("serve_error", e.to_string()),
         }
-        self.handle.event("shed", err.to_string());
         if let Some(span) = self.group_span {
             self.handle.end_span(span);
         }
@@ -434,184 +371,30 @@ impl PendingTrace {
             if let Some(root) = self.root {
                 self.handle.end_span(root);
             }
-            self.handle.finish(match err {
-                ServeError::Overloaded { .. } => "overloaded",
-                _ => "shutting_down",
+            self.handle.finish(match outcome {
+                Ok(_) => "ok",
+                Err(ServeError::UnknownApp(_)) => "unknown_app",
+                Err(ServeError::Overloaded { .. }) => "overloaded",
+                Err(ServeError::ShuttingDown) => "shutting_down",
+                Err(ServeError::Internal) => "internal",
             });
         }
     }
 }
 
-impl PendingVerdict {
-    fn settle(&self, outcome: &Result<Verdict, ServeError>) {
-        if outcome.is_ok() {
-            let exemplar = self.trace.as_ref().map_or(0, |t| t.handle.id().as_u64());
-            self.engine
-                .metrics()
-                .query_served_traced(self.start.elapsed(), exemplar);
-        }
-        if let Some(t) = &self.trace {
-            match outcome {
-                Ok(v) => t.handle.event(
-                    "verdict",
-                    format!(
-                        "malicious={} model_version={}",
-                        v.malicious, v.model_version
-                    ),
-                ),
-                Err(e) => t.handle.event("serve_error", e.to_string()),
-            }
-            if let Some(span) = t.group_span {
-                t.handle.end_span(span);
-            }
-            if t.owned {
-                if let Some(root) = t.root {
-                    t.handle.end_span(root);
-                }
-                let outcome = match outcome {
-                    Ok(_) => "ok",
-                    Err(ServeError::UnknownApp(_)) => "unknown_app",
-                    Err(ServeError::Overloaded { .. }) => "overloaded",
-                    Err(ServeError::ShuttingDown) => "shutting_down",
-                };
-                t.handle.finish(outcome);
-            }
-        }
-    }
-
-    /// Takes the outcome once there is one (parking for it when
-    /// `block`), settling metrics and trace on the way out. A handle
-    /// whose outcome was already taken reports
-    /// [`ServeError::ShuttingDown`].
-    fn take(&mut self, block: bool) -> Option<Result<Verdict, ServeError>> {
-        let outcome = match std::mem::replace(&mut self.reply, Reply::Settled(None)) {
-            Reply::Settled(Some(outcome)) => outcome,
-            Reply::Settled(None) => return Some(Err(ServeError::ShuttingDown)),
-            Reply::Queued(slot) => {
-                let taken = if block {
-                    Some(slot.wait())
-                } else {
-                    slot.try_take()
-                };
-                match taken {
-                    Some(outcome) => outcome,
-                    None => {
-                        self.reply = Reply::Queued(slot);
-                        return None;
-                    }
-                }
-            }
-        };
-        self.settle(&outcome);
-        Some(outcome)
-    }
-
-    /// The verdict, if it is ready; `None` while it is still in the queue
-    /// or being scored. A pool that shut down mid-flight surfaces
-    /// [`ServeError::ShuttingDown`].
-    pub fn poll(&mut self) -> Option<Result<Verdict, ServeError>> {
-        self.take(false)
-    }
-
-    /// Blocks until the verdict arrives.
-    pub fn wait(mut self) -> Result<Verdict, ServeError> {
-        self.take(true)
-            .expect("a blocking take always yields an outcome")
-    }
-}
-
-impl Drop for PendingVerdict {
-    /// An abandoned query (handle dropped before the verdict) still
-    /// closes its self-minted trace so the collector never accumulates
-    /// forever-open traces. Settled traces are already finished — the
-    /// idempotent `finish` makes this a no-op then.
-    fn drop(&mut self) {
-        if let Some(t) = &self.trace {
-            if t.owned && !t.handle.is_finished() {
-                if let Some(span) = t.group_span {
-                    t.handle.end_span(span);
-                }
-                if let Some(root) = t.root {
-                    t.handle.end_span(root);
-                }
-                t.handle.finish("abandoned");
-            }
-        }
-    }
-}
-
-/// One partition of the app-id space: a private store, verdict cache,
-/// scorer pool and metrics registry. Partitions share nothing but the
-/// control-plane handles their engines score through.
-struct Partition {
-    engine: Arc<ScoreEngine>,
-    pool: ScorerPool,
-}
-
-impl Partition {
-    fn new(control: &ControlPlane, shortener: Shortener, config: &ServeConfig) -> Self {
-        let engine = Arc::new(ScoreEngine {
-            model: control.model_handle(),
-            store: FeatureStore::new(config.shards),
-            cache: VerdictCache::new(config.shards),
-            known: control.known_names(),
-            shortener,
-            metrics: Metrics::default(),
-            audit: RwLock::new(None),
-        });
-        engine.metrics.set_model_version(engine.model.version());
-        let pool = ScorerPool::new(
-            config.workers,
-            config.queue_capacity,
-            config.batch_size,
-            config.retry_after_ms,
-            Arc::clone(&engine),
-        );
-        Partition { engine, pool }
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics.snapshot(self.pool.queue_depth())
-    }
-}
-
-/// Per-group routing instruments in the base registry; only a service
-/// with more than one partition has them.
-struct RouteMetrics {
-    ingest_forwarded: Vec<Arc<Counter>>,
-    classify_forwarded: Vec<Arc<Counter>>,
-    queue_depth: Arc<Gauge>,
-}
-
-impl RouteMetrics {
-    fn new(registry: &Registry, groups: usize) -> Self {
-        let per_group = |name: &str| -> Vec<Arc<Counter>> {
-            (0..groups)
-                .map(|g| registry.counter_with(name, &[("group", &g.to_string())]))
-                .collect()
-        };
-        RouteMetrics {
-            ingest_forwarded: per_group("route_ingest_forwarded"),
-            classify_forwarded: per_group("route_classify_forwarded"),
-            queue_depth: registry.gauge("route_queue_depth"),
-        }
-    }
-}
-
 /// The online FRAppE classification service.
-///
-/// Dropping the service shuts every scorer pool down (queues closed,
-/// workers joined); in-flight queries get [`ServeError::ShuttingDown`].
 pub struct FrappeService {
     control: ControlPlane,
-    parts: Vec<Partition>,
+    /// One engine per partition; index = group.
+    parts: Vec<ScoreEngine>,
     config: ServeConfig,
     /// The one partition's registry at K = 1; at K > 1 a base registry
     /// whose scrape [`exposition`](Self::exposition) merges with every
     /// partition's.
     registry: Arc<Registry>,
-    /// `None` at K = 1: a single partition routes nothing.
-    route: Option<RouteMetrics>,
+    /// `route_classify_forwarded{group}`, one lane per partition; empty at
+    /// K = 1, where a single partition routes nothing.
+    classify_forwarded: Vec<Arc<Counter>>,
     trace: RwLock<Option<TraceCollector>>,
 }
 
@@ -623,9 +406,7 @@ impl FrappeService {
     /// links at ingest, exactly as the batch extractor does.
     ///
     /// # Panics
-    /// Panics if `config` has zero groups, shards, queue capacity, or
-    /// batch size (zero workers is allowed; see
-    /// [`with_shared_model`](Self::with_shared_model)).
+    /// Panics if `config` has zero groups or shards.
     pub fn new(
         model: FrappeModel,
         known: KnownMaliciousNames,
@@ -641,14 +422,8 @@ impl FrappeService {
     /// swapping it; the service observes every swap through the epoch
     /// stamp, so no cached verdict survives a swap.
     ///
-    /// `workers == 0` is allowed as a deliberately *stalled* pool:
-    /// requests queue but are never drained, which is the deterministic
-    /// way to exercise the backpressure path (the edge integration test
-    /// saturates a one-slot queue this way).
-    ///
     /// # Panics
-    /// Panics if `config` has zero groups, shards, queue capacity, or
-    /// batch size.
+    /// Panics if `config` has zero groups or shards.
     pub fn with_shared_model(
         model: SharedModel,
         known: KnownMaliciousNames,
@@ -656,23 +431,25 @@ impl FrappeService {
         config: ServeConfig,
     ) -> Self {
         assert!(config.groups > 0, "a service needs at least one group");
-        assert!(config.queue_capacity > 0, "need a non-empty queue");
-        assert!(config.batch_size > 0, "batches hold at least one request");
         // Pack the scoring representation now, not on the first verdict:
         // the hot path (`score_inner`) should only ever see a warmed model.
         model.current().model().warm();
         // One control plane, every partition scoring through its handles:
         // a swap or a flagged name reaches all of them at the same instant.
         let control = ControlPlane::with_shared_model(model, known);
-        let parts: Vec<Partition> = (0..config.groups)
-            .map(|_| Partition::new(&control, shortener.clone(), &config))
+        let parts: Vec<ScoreEngine> = (0..config.groups)
+            .map(|_| ScoreEngine::new(&control, shortener.clone(), &config))
             .collect();
-        let (registry, route) = if config.groups == 1 {
-            (Arc::clone(parts[0].engine.metrics.registry()), None)
+        let (registry, classify_forwarded) = if config.groups == 1 {
+            (Arc::clone(parts[0].metrics.registry()), Vec::new())
         } else {
             let registry = Arc::new(Registry::new());
-            let route = RouteMetrics::new(&registry, config.groups);
-            (registry, Some(route))
+            let lanes = (0..config.groups)
+                .map(|g| {
+                    registry.counter_with("route_classify_forwarded", &[("group", &g.to_string())])
+                })
+                .collect();
+            (registry, lanes)
         };
         registry
             .gauge("route_groups")
@@ -683,7 +460,7 @@ impl FrappeService {
             parts,
             config,
             registry,
-            route,
+            classify_forwarded,
             trace: RwLock::new(None),
         }
     }
@@ -706,6 +483,11 @@ impl FrappeService {
         }
     }
 
+    /// Whether classifies are routed across more than one partition.
+    fn routed(&self) -> bool {
+        self.parts.len() > 1
+    }
+
     /// Current control version vector.
     pub fn control_stamp(&self) -> ControlStamp {
         self.control.stamp()
@@ -716,69 +498,42 @@ impl FrappeService {
     /// exactly one owner partition.
     pub fn ingest(&self, event: &ServeEvent) {
         let _span = frappe_obs::span("serve/ingest");
-        let g = self.group_of(event.app());
-        let engine = &self.parts[g].engine;
+        let engine = &self.parts[self.group_of(event.app())];
         engine.store.apply(event, &engine.shortener);
         engine.metrics.event_ingested();
-        if let Some(route) = &self.route {
-            route.ingest_forwarded[g].inc();
-        }
     }
 
-    /// Classifies one app, blocking until a scorer answers.
+    /// Classifies one app on the caller's thread: a verdict-cache probe
+    /// and, on a miss, one feature snapshot and one model evaluation.
     ///
-    /// Returns [`ServeError::Overloaded`] *without blocking* when the
-    /// scoring queue is full — the caller owns the retry policy.
+    /// A panic while scoring is caught and answered with
+    /// [`ServeError::Internal`] (counted in the `rejected` metric): it
+    /// costs this call, not the caller's thread.
     pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_nonblocking(app)?.wait()
+        self.classify_traced(app, None)
     }
 
-    /// Submits a classification without waiting for the answer.
-    ///
-    /// This is the entry point for callers that must never park — the
-    /// network edge's reactor submits here and polls the returned
-    /// [`PendingVerdict`] from its event loop. Queue-full rejection is
-    /// identical to [`classify`](Self::classify): immediate
-    /// [`ServeError::Overloaded`] with the retry hint, counted in the
-    /// rejected metric.
-    pub fn classify_nonblocking(&self, app: AppId) -> Result<PendingVerdict, ServeError> {
-        self.classify_traced(app, None, None)
-    }
-
-    /// [`classify_nonblocking`](Self::classify_nonblocking) with explicit
-    /// trace plumbing. The edge passes its own `(handle, parent span)` so
-    /// serve-side spans (`serve/queue`, `serve/score`, `serve/model_eval`)
-    /// land causally under the edge's request span; with `None` and a
-    /// collector attached (see
-    /// [`set_trace_collector`](Self::set_trace_collector)) the service
-    /// mints a `classify` trace of its own and finishes it when the
-    /// verdict settles.
+    /// [`classify`](Self::classify) with explicit trace plumbing. The edge
+    /// passes its own `(handle, parent span)` so serve-side spans
+    /// (`serve/queue`, `serve/score`, `serve/model_eval`) land causally
+    /// under the edge's request span; with `None` and a collector
+    /// attached (see [`set_trace_collector`](Self::set_trace_collector))
+    /// the service mints a `classify` trace of its own and finishes it
+    /// before returning.
     ///
     /// With more than one partition the trace also records the routing
     /// decision (a `route` event naming the owner group), a
     /// `route/forward` span over the hand-off, and a `route/group_score`
-    /// span, open until the verdict settles, that parents the serve-side
-    /// spans.
-    ///
-    /// A cached verdict is answered right here, on the caller's thread:
-    /// the returned handle is already settled and the pool is never
-    /// touched. Everything else queues, and `notify` (if any) fires once
-    /// the queued verdict is readable — see [`Notify`].
-    ///
-    /// A query shed with [`ServeError::Overloaded`] always flags the
-    /// trace [`Shed429`](frappe_obs::TraceFlag::Shed429), so shed
-    /// requests are tail-sampled no matter what the head-sampling rate
-    /// says.
+    /// span over the owner's work that parents the serve-side spans.
     pub fn classify_traced(
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
-        notify: Option<Notify>,
-    ) -> Result<PendingVerdict, ServeError> {
+    ) -> Result<Verdict, ServeError> {
         let start = Instant::now();
         let g = self.group_of(app);
         let mut trace = match edge_trace {
-            Some((handle, parent)) => Some(PendingTrace {
+            Some((handle, parent)) => Some(ClassifyTrace {
                 handle,
                 root: parent,
                 owned: false,
@@ -786,11 +541,12 @@ impl FrappeService {
             }),
             None => self.trace.read().clone().map(|collector| {
                 let handle = collector.begin("classify");
-                let root = match self.route {
-                    Some(_) => handle.start_span("route/classify", None),
-                    None => handle.start_span("serve/classify", None),
+                let root = if self.routed() {
+                    handle.start_span("route/classify", None)
+                } else {
+                    handle.start_span("serve/classify", None)
                 };
-                PendingTrace {
+                ClassifyTrace {
                     handle,
                     root: Some(root),
                     owned: true,
@@ -798,55 +554,37 @@ impl FrappeService {
                 }
             }),
         };
-        let forward = match (&self.route, &mut trace) {
-            (Some(_), Some(t)) => {
+        if let Some(forwarded) = self.classify_forwarded.get(g) {
+            forwarded.inc();
+            if let Some(t) = &mut trace {
                 t.handle.event("route", format!("group={g}"));
                 let forward = t.handle.start_span("route/forward", t.root);
                 t.group_span = Some(t.handle.start_span("route/group_score", t.root));
-                Some(forward)
-            }
-            _ => None,
-        };
-        let part = &self.parts[g];
-        let ctx = trace.as_ref().map(PendingTrace::ctx);
-        let submitted = match part.engine.cached(app, ctx.as_ref()) {
-            Some(hit) => Ok(Reply::Settled(Some(Ok(hit)))),
-            None => part.pool.submit(app, ctx, notify).map(Reply::Queued),
-        };
-        if let (Some(t), Some(span)) = (&trace, forward) {
-            t.handle.end_span(span);
-        }
-        match submitted {
-            Ok(reply) => {
-                if let Some(route) = &self.route {
-                    route.classify_forwarded[g].inc();
-                }
-                Ok(PendingVerdict {
-                    reply,
-                    engine: Arc::clone(&part.engine),
-                    start,
-                    trace,
-                })
-            }
-            Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    part.engine.metrics.rejected();
-                }
-                if let Some(t) = &trace {
-                    t.shed(&err);
-                }
-                Err(err)
+                t.handle.end_span(forward);
             }
         }
-    }
-
-    /// Requests currently waiting in the scoring queues (not yet picked
-    /// up by a worker), summed over partitions. The network edge reads
-    /// this to decide when to pause connection reads; unlike
-    /// [`metrics`](Self::metrics) it samples channel lengths and builds
-    /// nothing.
-    pub fn queue_depth(&self) -> usize {
-        self.parts.iter().map(|p| p.pool.queue_depth()).sum()
+        let engine = &self.parts[g];
+        // Nothing the scorer touches is left half-written by a panic: the
+        // store and cache locks are not poisoned (`parking_lot`), and the
+        // cache put is the last step.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.score_traced(app, trace.as_ref())
+        }))
+        .unwrap_or(Err(ServeError::Internal));
+        match &outcome {
+            Ok(_) => {
+                let exemplar = trace.as_ref().map_or(0, |t| t.handle.id().as_u64());
+                engine
+                    .metrics
+                    .query_served_traced(start.elapsed(), exemplar);
+            }
+            Err(ServeError::Internal) => engine.metrics.rejected(),
+            Err(_) => {}
+        }
+        if let Some(t) = &trace {
+            t.settle(&outcome);
+        }
+        outcome
     }
 
     /// Adds an app name to the known-malicious collision list (§4.2.1's
@@ -873,8 +611,8 @@ impl FrappeService {
         // not pay the flatten while a burst is in flight.
         model.warm();
         let old = self.control.swap_model(model, version);
-        for part in &self.parts {
-            part.engine.metrics.model_swapped(version);
+        for engine in &self.parts {
+            engine.metrics.model_swapped(version);
         }
         old
     }
@@ -893,9 +631,9 @@ impl FrappeService {
     pub fn clear_verdict_cache(&self) -> usize {
         self.parts
             .iter()
-            .map(|p| {
-                let dropped = p.engine.cache.clear();
-                p.engine.metrics.cache_evicted(dropped as u64);
+            .map(|engine| {
+                let dropped = engine.cache.clear();
+                engine.metrics.cache_evicted(dropped as u64);
                 dropped
             })
             .sum()
@@ -911,10 +649,10 @@ impl FrappeService {
     }
 
     /// Current feature row for one app, read from its owner partition
-    /// and bypassing the scorer pool. This is the parity-test window
-    /// into the incremental store.
+    /// without scoring it. This is the parity-test window into the
+    /// incremental store.
     pub fn features(&self, app: AppId) -> Option<AppFeatures> {
-        let engine = &self.parts[self.group_of(app)].engine;
+        let engine = &self.parts[self.group_of(app)];
         engine
             .known
             .with(|known, _| engine.store.snapshot(app, known))
@@ -927,7 +665,7 @@ impl FrappeService {
         let mut apps: Vec<AppId> = self
             .parts
             .iter()
-            .flat_map(|p| p.engine.store.tracked_apps())
+            .flat_map(|engine| engine.store.tracked_apps())
             .collect();
         apps.sort_unstable();
         apps
@@ -935,19 +673,14 @@ impl FrappeService {
 
     /// Point-in-time metrics, summed over partitions where additive;
     /// `model_swaps` is the per-partition maximum, since every partition
-    /// books each shared swap once. Samples the live queue depths.
+    /// books each shared swap once.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshots = self.parts.iter().map(Partition::metrics);
+        let mut snapshots = self.parts.iter().map(|engine| engine.metrics.snapshot());
         let mut merged = snapshots
             .next()
             .expect("a service has at least one partition");
         for snapshot in snapshots {
             merged.absorb(&snapshot);
-        }
-        if let Some(route) = &self.route {
-            route
-                .queue_depth
-                .set(merged.queue_depth.min(i64::MAX as usize) as i64);
         }
         merged
     }
@@ -956,9 +689,7 @@ impl FrappeService {
     /// register their own instruments, so one scrape shows the whole
     /// process. At K = 1 it also holds the `serve_*` families; at K > 1
     /// those live in per-partition registries and
-    /// [`exposition`](Self::exposition) merges them in. Call
-    /// [`Self::metrics`] first to refresh the queue-depth gauges if you
-    /// read it directly.
+    /// [`exposition`](Self::exposition) merges them in.
     pub fn obs_registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -969,16 +700,15 @@ impl FrappeService {
     /// family. Gauges and `serve_model_swaps` (K views of one shared
     /// swap) are never summed.
     pub fn exposition(&self) -> RegistrySnapshot {
-        let _ = self.metrics(); // refresh the queue-depth gauges
         self.control.publish(&self.registry);
         let base = self.registry.snapshot();
-        if self.route.is_none() {
+        if !self.routed() {
             return base;
         }
         let groups: Vec<RegistrySnapshot> = self
             .parts
             .iter()
-            .map(|p| p.engine.metrics.registry().snapshot())
+            .map(|engine| engine.metrics.registry().snapshot())
             .collect();
         merge_expositions(base, &groups, SHARED_FAMILIES)
     }
@@ -989,8 +719,8 @@ impl FrappeService {
     /// emit nothing — their decision values have no exact per-feature
     /// decomposition.
     pub fn set_audit_log(&self, log: Arc<AuditLog>) {
-        for part in &self.parts {
-            *part.engine.audit.write() = Some(Arc::clone(&log));
+        for engine in &self.parts {
+            *engine.audit.write() = Some(Arc::clone(&log));
         }
     }
 
@@ -998,13 +728,12 @@ impl FrappeService {
     pub fn take_audit_log(&self) -> Option<Arc<AuditLog>> {
         self.parts
             .iter()
-            .fold(None, |log, part| log.or(part.engine.audit.write().take()))
+            .fold(None, |log, engine| log.or(engine.audit.write().take()))
     }
 
     /// Attach a trace collector: every in-process
-    /// [`classify`](Self::classify) /
-    /// [`classify_nonblocking`](Self::classify_nonblocking) call mints a
-    /// `classify` trace (edges pass their own trace through
+    /// [`classify`](Self::classify) call mints a `classify` trace (edges
+    /// pass their own trace through
     /// [`classify_traced`](Self::classify_traced) instead and are
     /// unaffected). Tracing only observes — verdicts are bit-identical
     /// with and without a collector attached.
@@ -1020,11 +749,6 @@ impl FrappeService {
     /// Detach the trace collector, returning it if one was attached.
     pub fn take_trace_collector(&self) -> Option<TraceCollector> {
         self.trace.write().take()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn engine_for_test(&self) -> Arc<ScoreEngine> {
-        Arc::clone(&self.parts[0].engine)
     }
 }
 
@@ -1095,9 +819,6 @@ mod tests {
             ServeConfig {
                 groups: 1,
                 shards: 2,
-                workers: 2,
-                queue_capacity: 8,
-                batch_size: 4,
                 retry_after_ms: 1,
             },
         )
@@ -1292,137 +1013,60 @@ mod tests {
         let json = serde_json::to_string(&down).unwrap();
         assert_eq!(json, r#"{"error":"ShuttingDown","retry_after_ms":null}"#);
         assert_eq!(serde_json::from_str::<ErrorEnvelope>(&json).unwrap(), down);
-    }
 
-    #[test]
-    fn nonblocking_classify_polls_to_the_same_verdict() {
-        let svc = service();
-        let app = AppId(61);
-        feed_malicious(&svc, app);
-        let blocking = svc.classify(app).unwrap();
-        let mut pending = svc.classify_nonblocking(app).unwrap();
-        let polled = loop {
-            if let Some(outcome) = pending.poll() {
-                break outcome.unwrap();
-            }
-            std::thread::yield_now();
-        };
-        assert_eq!(polled, blocking, "cache answers both paths identically");
-        assert_eq!(svc.metrics().queries_served, 2, "both paths feed latency");
-    }
-
-    #[test]
-    fn zero_workers_is_a_stalled_pool() {
-        let svc = FrappeService::new(
-            tiny_model(),
-            KnownMaliciousNames::default(),
-            Shortener::bitly(),
-            ServeConfig {
-                groups: 1,
-                shards: 1,
-                workers: 0,
-                queue_capacity: 1,
-                batch_size: 1,
-                retry_after_ms: 9,
-            },
-        );
-        let app = AppId(71);
-        svc.ingest(&ServeEvent::Registered {
-            app,
-            name: "stuck".into(),
-        });
-        let mut first = svc.classify_nonblocking(app).expect("one slot admits");
-        assert!(
-            first.poll().is_none(),
-            "nothing ever drains a 0-worker pool"
-        );
+        let internal = ErrorEnvelope::new(ServeError::Internal);
+        let json = serde_json::to_string(&internal).unwrap();
+        assert_eq!(json, r#"{"error":"Internal","retry_after_ms":null}"#);
         assert_eq!(
-            svc.classify_nonblocking(app).err(),
-            Some(ServeError::Overloaded { retry_after_ms: 9 }),
-            "the queue saturates deterministically"
+            serde_json::from_str::<ErrorEnvelope>(&json).unwrap(),
+            internal
         );
-        assert_eq!(svc.queue_depth(), 1);
-        assert_eq!(svc.metrics().rejected, 1);
     }
 
-    /// A notifier that reports each firing on a channel.
-    fn channel_notify() -> (Notify, std::sync::mpsc::Receiver<()>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let notify: Notify = Arc::new(move || tx.send(()).expect("the test is listening"));
-        (notify, rx)
+    /// A model whose SVM was fitted on another feature dimension: every
+    /// fresh score trips `svm`'s dimension-mismatch assertion.
+    fn panicking_model() -> FrappeModel {
+        let good = tiny_model();
+        let wrong_dim =
+            svm::SvmModel::new(svm::Kernel::linear(), vec![vec![0.5; 3]], vec![1.0], 0.0);
+        FrappeModel::from_parts(
+            FeatureSet::Full,
+            good.imputation().clone(),
+            good.scaler().clone(),
+            wrong_dim,
+        )
     }
 
     #[test]
-    fn a_cached_classify_is_answered_on_submit_without_the_pool() {
+    fn a_scoring_panic_costs_one_classify_and_is_counted() {
         let svc = service();
-        let app = AppId(101);
-        feed_malicious(&svc, app);
-        let fresh = svc.classify(app).unwrap();
-        let before = svc.metrics();
-        let (notify, fired) = channel_notify();
-        let mut pending = svc.classify_traced(app, None, Some(notify)).unwrap();
-        // settled before `classify_traced` returned: the first poll answers
-        assert_eq!(pending.poll(), Some(Ok(fresh)));
-        let after = svc.metrics();
-        assert_eq!(after.batches_scored, before.batches_scored, "no pool hop");
-        assert_eq!(after.cache_hits, before.cache_hits + 1);
-        assert_eq!(after.cache_misses, before.cache_misses);
-        assert_eq!(after.queries_served, before.queries_served + 1);
-        drop(svc); // joins the workers: nothing can fire after this
-        assert!(fired.try_recv().is_err(), "an inline hit never notifies");
-    }
-
-    #[test]
-    fn a_queued_miss_notifies_once_after_its_verdict_is_readable() {
-        let svc = service();
-        let [mine, other_a, other_b] = [AppId(111), AppId(112), AppId(113)];
-        for app in [mine, other_a, other_b] {
-            feed_malicious(&svc, app);
-        }
-        let (notify, fired) = channel_notify();
-        let mut pending = svc.classify_traced(mine, None, Some(notify)).unwrap();
-        // in-process misses on the same pool carry no notifier of their
-        // own and must not fire this request's
-        svc.classify(other_a).unwrap();
-        svc.classify(other_b).unwrap();
-        fired.recv().expect("the miss notifies");
-        let verdict = pending
-            .poll()
-            .expect("the verdict is readable once the notifier has fired");
-        assert_eq!(verdict.unwrap().app, mine);
-        drop(svc);
-        assert!(fired.try_recv().is_err(), "exactly one notification");
-    }
-
-    #[test]
-    fn a_service_dropped_with_a_request_queued_resolves_it_to_shutting_down() {
-        let svc = FrappeService::new(
-            tiny_model(),
-            KnownMaliciousNames::default(),
-            Shortener::bitly(),
-            ServeConfig {
-                groups: 1,
-                shards: 1,
-                workers: 0, // stalled: the request stays queued
-                queue_capacity: 1,
-                batch_size: 1,
-                retry_after_ms: 9,
-            },
-        );
-        let app = AppId(121);
-        svc.ingest(&ServeEvent::Registered {
-            app,
-            name: "stuck".into(),
+        let tc = TraceCollector::new(TraceConfig {
+            head_every: 1,
+            slow_us: 0,
+            ..TraceConfig::default()
         });
-        let (notify, fired) = channel_notify();
-        let pending = svc.classify_traced(app, None, Some(notify)).unwrap();
-        drop(svc);
-        assert_eq!(pending.wait(), Err(ServeError::ShuttingDown));
-        assert!(
-            fired.try_recv().is_ok(),
-            "the abandoned slot still notifies"
+        svc.set_trace_collector(tc.clone());
+        let app = AppId(141);
+        feed_malicious(&svc, app);
+        let good = svc.classify(app).unwrap();
+
+        svc.swap_model(Arc::new(panicking_model()), 2);
+        assert_eq!(svc.classify(app), Err(ServeError::Internal));
+        assert_eq!(svc.classify(app), Err(ServeError::Internal), "and again");
+        let m = svc.metrics();
+        assert_eq!(m.rejected, 2);
+        assert_eq!(m.queries_served, 1, "only the good verdict was served");
+        let failed = tc.snapshot().pop().unwrap();
+        assert_eq!(failed.outcome, "internal");
+        assert!(failed.events.iter().any(|e| e.name == "serve_error"));
+
+        svc.swap_model(Arc::new(tiny_model()), 3);
+        let again = svc.classify(app).unwrap();
+        assert_eq!(
+            again.decision_value.to_bits(),
+            good.decision_value.to_bits()
         );
-        assert!(fired.try_recv().is_err(), "exactly once");
+        assert_eq!(again.model_version, 3);
     }
 
     #[test]
@@ -1457,8 +1101,8 @@ mod tests {
         let score = hit.span("serve/score").unwrap();
         assert_eq!(queue.parent, Some(root.id));
         assert_eq!(score.parent, Some(root.id));
-        assert_eq!(queue.start_us, queue.end_us, "no queue wait for a hit");
-        assert_eq!(score.start_us, queue.start_us);
+        assert_eq!(queue.start_us, queue.end_us, "nothing queues");
+        assert!(score.start_us >= queue.end_us, "score follows the queue");
         assert!(hit.events.iter().any(|e| e.name == "cache_hit"));
         assert_eq!(hit.outcome, "ok");
     }
@@ -1516,45 +1160,6 @@ mod tests {
             text.contains("# {trace_id="),
             "latency bucket exemplar rendered:\n{text}"
         );
-    }
-
-    #[test]
-    fn shed_queries_are_always_tail_sampled() {
-        let svc = FrappeService::new(
-            tiny_model(),
-            KnownMaliciousNames::default(),
-            Shortener::bitly(),
-            ServeConfig {
-                groups: 1,
-                shards: 1,
-                workers: 0, // stalled pool: the second submit must shed
-                queue_capacity: 1,
-                batch_size: 1,
-                retry_after_ms: 9,
-            },
-        );
-        let tc = TraceCollector::new(TraceConfig {
-            head_every: 0, // tail-only: nothing survives without a flag
-            slow_us: 0,
-            ..TraceConfig::default()
-        });
-        svc.set_trace_collector(tc.clone());
-        let app = AppId(91);
-        svc.ingest(&ServeEvent::Registered {
-            app,
-            name: "stuck".into(),
-        });
-        let first = svc.classify_nonblocking(app).expect("one slot admits");
-        assert_eq!(
-            svc.classify_nonblocking(app).err(),
-            Some(ServeError::Overloaded { retry_after_ms: 9 })
-        );
-        let kept = tc.snapshot();
-        assert_eq!(kept.len(), 1, "only the shed query is kept");
-        assert!(kept[0].has_flag(TraceFlag::Shed429));
-        assert_eq!(kept[0].outcome, "overloaded");
-        drop(first); // abandoned and unflagged — sampling drops it
-        assert_eq!(tc.snapshot().len(), 1);
     }
 
     #[test]

@@ -78,7 +78,6 @@ fn main() {
         world.shortener.clone(),
         ServeConfig {
             shards: 4,
-            workers: 2,
             ..ServeConfig::default()
         },
     );

@@ -306,6 +306,10 @@ fn random_streams_are_parity_exact_for_every_set_and_shard_count() {
     }
 }
 
+/// One classify, as compared across group counts: app, decision-value
+/// bits, verdict, store generation, model version.
+type VerdictBits = (AppId, u64, bool, u64, u64);
+
 /// The partition invariant: splitting the serving stack into K
 /// partitions (`ServeConfig::groups`) is *pure topology* — for every group
 /// count, every app's verdict is bit-for-bit what the single-group
@@ -328,7 +332,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
 
     for seed in [11u64, 4242] {
         let world = random_world(seed, 48);
-        let mut reference: Option<Vec<(AppId, u64, bool, u64, u64)>> = None;
+        let mut reference: Option<Vec<VerdictBits>> = None;
 
         for groups in GROUP_COUNTS {
             let service = FrappeService::new(
@@ -342,7 +346,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
             );
             ingest_concurrently(&world, |event| service.ingest(event));
 
-            let observed: Vec<(AppId, u64, bool, u64, u64)> = world
+            let observed: Vec<VerdictBits> = world
                 .scripts
                 .iter()
                 .filter(|s| !s.events.is_empty())

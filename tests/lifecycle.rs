@@ -356,16 +356,26 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
         manager.classify(app).expect("tracked app");
     }
 
-    // A query whose verdict is still unsettled when the promote lands is
+    // A request whose trace is still open when the promote lands is
     // flagged (and therefore tail-sampled) even with head sampling off.
-    let in_flight = service.classify_nonblocking(apps[0]).expect("accepted");
+    // An in-process classify runs start to finish on the calling thread,
+    // so the request is held open the way the network edge holds one:
+    // its trace begins before the transition, is handed to the classify,
+    // and finishes once the verdict is out.
+    let in_flight = collector.begin("edge");
     assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(2));
-    in_flight.wait().expect("scored across the swap");
+    service
+        .classify_traced(apps[0], Some((in_flight.clone(), None)))
+        .expect("scored across the swap");
+    in_flight.finish("200");
 
-    let in_flight = service.classify_nonblocking(apps[1]).expect("accepted");
+    let in_flight = collector.begin("edge");
     let rolled = manager.rollback().expect("history has v1");
     assert_eq!(rolled, 1);
-    in_flight.wait().expect("scored across the rollback");
+    service
+        .classify_traced(apps[1], Some((in_flight.clone(), None)))
+        .expect("scored across the rollback");
+    in_flight.finish("200");
 
     let kept = collector.snapshot();
     let swap = kept

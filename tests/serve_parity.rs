@@ -98,7 +98,6 @@ fn online_verdicts_match_batch_predictions() {
         known.clone(),
         ServeConfig {
             shards: 4,
-            workers: 2,
             ..ServeConfig::default()
         },
     );

@@ -21,7 +21,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel};
@@ -84,24 +84,17 @@ fn labelled_rows(
     (samples, labels)
 }
 
-/// A [`SwapFence`] that drains every group's scoring queue before
-/// letting the swap run — the in-process analogue of the network edge's
-/// drain/resume protocol — and counts how often it ran.
-struct DrainFence {
-    service: Arc<FrappeService>,
+/// A [`SwapFence`] that counts how often it ran. In-process classifies
+/// score on their callers' threads and leave nothing queued between
+/// calls, so unlike the network edge's drain/resume protocol there is
+/// nothing to wait out: the swap runs at once.
+struct CountingFence {
     entered: AtomicU64,
 }
 
-impl SwapFence for DrainFence {
+impl SwapFence for CountingFence {
     fn fenced(&self, swap: &mut dyn FnMut()) {
         self.entered.fetch_add(1, Ordering::SeqCst);
-        // Best-effort quiesce: under sustained load the queues may never
-        // be simultaneously empty, and the fence contract requires the
-        // swap to run regardless.
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while self.service.queue_depth() > 0 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
         swap();
     }
 }
@@ -150,8 +143,7 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
         },
         DriftDetector::new(DriftConfig::default()),
     );
-    let fence = Arc::new(DrainFence {
-        service: Arc::clone(&service),
+    let fence = Arc::new(CountingFence {
         entered: AtomicU64::new(0),
     });
     manager.set_swap_fence(Arc::clone(&fence) as Arc<dyn SwapFence>);
